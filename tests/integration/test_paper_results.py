@@ -11,6 +11,7 @@ from repro.apps import APP_NAMES
 from repro.eval.accuracy import run_predictors
 from repro.eval.performance import run_speculation
 from repro.sim.machine import MachineMode
+from tests.golden import check_golden, predictor_run_record, run_result_record
 
 ACCURACY_ITERS = {
     "appbt": 10, "barnes": 21, "em3d": 20, "moldyn": 16,
@@ -36,6 +37,29 @@ def speculation():
         app: run_speculation(app, iterations=PERF_ITERS[app])
         for app in APP_NAMES
     }
+
+
+@pytest.mark.parametrize("app", APP_NAMES)
+class TestGoldenNumbers:
+    """The fixtures' exact numbers, pinned in tests/golden/."""
+
+    def test_accuracy(self, accuracy, app):
+        check_golden(
+            "paper_results",
+            f"accuracy/{app}",
+            {name: predictor_run_record(run) for name, run in accuracy[app].items()},
+        )
+
+    def test_speculation(self, speculation, app):
+        run = speculation[app]
+        check_golden(
+            "paper_results",
+            f"speculation/{app}",
+            {
+                mode.value: run_result_record(run.result(mode))
+                for mode in (MachineMode.BASE, MachineMode.FR, MachineMode.SWI)
+            },
+        )
 
 
 class TestFigure7Shape:

@@ -25,6 +25,7 @@ from repro.apps.registry import APP_NAMES, make_app
 from repro.common.config import SystemConfig
 from repro.sim.machine import Machine, MachineMode, RunResult
 from repro.sim.timetrace import reset_timetrace_memo
+from tests.golden import check_golden, run_result_record
 
 #: Small but non-trivial workloads: every app still exercises barriers,
 #: locks (where present), write-invalidation chains, and speculation.
@@ -75,6 +76,9 @@ class TestEngineEquivalence:
         fast = run_once(app, mode, "fast")
         reference = run_once(app, mode, "reference")
         assert_identical(fast, reference)
+        check_golden(
+            "engine_equivalence", f"{app}/{mode.value}", run_result_record(fast)
+        )
 
     def test_compiled_record_and_replay_bit_identical(self, app, mode):
         """Both compiled paths against the reference.
