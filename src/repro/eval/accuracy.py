@@ -1,34 +1,21 @@
 """Trace-driven predictor evaluation (Figures 7-8, Tables 3-4).
 
-Two engines produce the same numbers:
-
-* ``"vectorized"`` (default) — the columnar trace pipeline: the
-  workload's message stream is compiled once
-  (:func:`repro.trace.compile_app_trace`, cache-first) and every
-  predictor is scored with batched numpy passes
-  (:func:`repro.trace.evaluate_trace`).  One emulation feeds all
-  predictors and depths.
-* ``"reference"`` — the original per-message path: each predictor
-  object observes every message in Python.  This is the semantic
-  definition the vectorized engine is tested against
-  (``tests/trace/test_vectorized.py``), kept as the executable contract.
-
-Both engines are bit-identical, so cached sweep results are valid
-whichever engine computed them.
+The workload's message stream is compiled once
+(:func:`repro.trace.compile_app_trace`, cache-first) and every
+predictor is scored with batched numpy passes
+(:func:`repro.trace.evaluate_trace`), so one emulation feeds all
+predictors and depths.  The scores are bit-identical to feeding every
+message through the per-message predictors, the semantic definition
+kept as an oracle in ``tests/oracles/`` (``run_predictors_reference``)
+and checked by ``tests/trace/test_vectorized.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.apps.registry import make_app
-from repro.common.rng import DeterministicRng
-from repro.predictors import PREDICTOR_CLASSES, DirectoryPredictor
+from repro.predictors import PREDICTOR_CLASSES
 from repro.predictors.base import PredictionStats
-from repro.protocol.emulator import ProtocolEmulator
-
-#: The evaluation engines ``run_predictors`` accepts.
-ENGINES = ("vectorized", "reference")
 
 
 @dataclass(slots=True)
@@ -63,47 +50,12 @@ def run_predictors(
     iterations: int | None = None,
     seed: int | str = 1999,
     race_seed: int | str = 7,
-    engine: str = "vectorized",
 ) -> dict[str, PredictorRun]:
     """Train the named predictors on one application's directory trace.
 
     All predictors observe the *same* message stream (including the
     same race outcomes), exactly as the paper compares them.
     """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r} (known: {', '.join(ENGINES)})"
-        )
-    if engine == "vectorized":
-        return _run_vectorized(
-            app_name,
-            depth=depth,
-            predictors=predictors,
-            num_procs=num_procs,
-            iterations=iterations,
-            seed=seed,
-            race_seed=race_seed,
-        )
-    return _run_reference(
-        app_name,
-        depth=depth,
-        predictors=predictors,
-        num_procs=num_procs,
-        iterations=iterations,
-        seed=seed,
-        race_seed=race_seed,
-    )
-
-
-def _run_vectorized(
-    app_name: str,
-    depth: int,
-    predictors: tuple[str, ...],
-    num_procs: int,
-    iterations: int | None,
-    seed: int | str,
-    race_seed: int | str,
-) -> dict[str, PredictorRun]:
     from repro.trace import compile_app_trace, evaluate_trace
 
     trace = compile_app_trace(
@@ -124,42 +76,5 @@ def _run_vectorized(
             stats=evaluation.stats,
             average_pte=evaluation.average_pte,
             overhead_bytes=profile.bytes_per_block(evaluation.average_pte),
-        )
-    return results
-
-
-def _run_reference(
-    app_name: str,
-    depth: int,
-    predictors: tuple[str, ...],
-    num_procs: int,
-    iterations: int | None,
-    seed: int | str,
-    race_seed: int | str,
-) -> dict[str, PredictorRun]:
-    app = make_app(app_name, num_procs=num_procs, iterations=iterations, seed=seed)
-    workload = app.build()
-    emulator = ProtocolEmulator(DeterministicRng(race_seed))
-    instances: dict[str, DirectoryPredictor] = {
-        name: PREDICTOR_CLASSES[name](depth=depth) for name in predictors
-    }
-    for _block, messages in emulator.run(workload.block_scripts()):
-        for message in messages:
-            for predictor in instances.values():
-                predictor.observe(message)
-    results: dict[str, PredictorRun] = {}
-    for name, predictor in instances.items():
-        flush = getattr(predictor, "flush", None)
-        if flush is not None:
-            flush()
-        average_pte = predictor.average_pattern_entries()
-        profile = predictor.storage_profile(num_procs, depth)
-        results[name] = PredictorRun(
-            app=app_name,
-            predictor=name,
-            depth=depth,
-            stats=predictor.stats,
-            average_pte=average_pte,
-            overhead_bytes=profile.bytes_per_block(average_pte),
         )
     return results

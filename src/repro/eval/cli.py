@@ -21,12 +21,9 @@ paper's own, printing one JSON object per point::
     repro-paper sweep --kind accuracy --axis app=em3d,moldyn \\
         --axis depth=1,2,4 --set iterations=8 --jobs 4
 
-Accuracy points run on the vectorized trace pipeline and speculation
-points on the calendar-queue timing engine by default; ``--set
-engine=compiled`` selects timing-trace record/replay and ``--set
-engine=reference`` the frozen baselines.  All engines are
-bit-identical, so the setting is excluded from cache keys
-(docs/performance.md).
+Accuracy points are scored by the vectorized trace pipeline and
+speculation points run on the calendar-queue timing simulator; each
+has exactly one implementation (docs/performance.md).
 
 Several workers — processes or hosts — can divide one grid between
 them: point each at the same ``--cache-dir`` plus a shared
@@ -82,7 +79,6 @@ from repro.harness import (
     SweepError,
     SweepSpec,
     runner_kinds,
-    validate_point_params,
 )
 
 def _default_cache_dir() -> str:
@@ -211,13 +207,9 @@ def _sweep_main(argv: list[str]) -> int:
             "harness and print one JSON object per sweep point."
         ),
         epilog=(
-            "Engine switches: accuracy points accept --set "
-            "engine=vectorized|reference (the columnar trace pipeline "
-            "or the per-message predictors) and speculation points "
-            "accept --set engine=fast|compiled|reference (the calendar "
-            "queue, timing-trace record/replay, or the heapq "
-            "baseline).  All are bit-identical, so engine is excluded "
-            "from cache keys; see docs/performance.md."
+            "Every --axis/--set name is a point parameter and part of "
+            "the point's cache key; runners ignore names they do not "
+            "read.  See docs/harness.md for each kind's parameters."
         ),
     )
     parser.add_argument(
@@ -263,20 +255,6 @@ def _sweep_main(argv: list[str]) -> int:
         parser.error("at least one --axis is required")
 
     spec = SweepSpec(kind=args.kind, axes=dict(args.axis), base=dict(args.settings))
-    # Fail fast on parameters that can never run (e.g. an unknown
-    # --set engine=...), before any point is claimed or computed.  Grid
-    # *expansion* errors (non-canonicalizable values like nested NaN)
-    # keep their "invalid sweep parameters" reporting further down.
-    try:
-        points = spec.points()
-    except (TypeError, ValueError):
-        points = []
-    try:
-        for point in points:
-            validate_point_params(point.kind, point.as_dict())
-    except ValueError as exc:
-        print(f"repro-paper sweep: error: {exc}", file=sys.stderr)
-        return 2
     if args.follow:
         if args.no_cache:
             parser.error("--follow requires the result cache (drop --no-cache)")

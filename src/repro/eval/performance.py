@@ -75,41 +75,14 @@ def run_speculation(
     iterations: int | None = None,
     seed: int | str = 1999,
     config: SystemConfig | None = None,
-    engine: str = "fast",
 ) -> SpeculationRun:
-    """Run one application on all three machine variants.
-
-    ``engine`` selects the timing engine (``"fast"`` calendar queue,
-    ``"compiled"`` timing-trace record/replay, ``"reference"`` heapq
-    baseline).  All are bit-identical per the golden equivalence
-    suite, so results — and cached sweep entries — are valid whichever
-    engine computed them.  The compiled engine addresses its traces by
-    the app parameters passed here, so repeat calls (and any process
-    sharing the trace-cache directory) replay instead of simulating.
-    """
-    from repro.sim.fastevents import ENGINES
-
-    if engine not in ENGINES:
-        # Fail before the workload is built, with the full menu — the
-        # CLI/service surfaces relay this message verbatim.
-        raise ValueError(
-            f"unknown timing engine {engine!r} (known: {', '.join(ENGINES)})"
-        )
+    """Run one application on all three machine variants."""
     app = make_app(app_name, num_procs=num_procs, iterations=iterations, seed=seed)
     workload = app.build()
     cfg = config or SystemConfig(num_nodes=num_procs)
-    trace_key = {
-        "app": app_name,
-        "num_procs": num_procs,
-        "iterations": app.iterations,
-        "seed": seed,
-    }
     results = {}
     for mode in PAPER_MODES:
-        machine = Machine(
-            workload, config=cfg, mode=mode, engine=engine, trace_key=trace_key
-        )
-        results[mode] = machine.run()
+        results[mode] = Machine(workload, config=cfg, mode=mode).run()
     return SpeculationRun(
         app=app_name,
         base=results[MachineMode.BASE],

@@ -46,14 +46,11 @@ from repro.harness.runners import (
     execute_point_timed,
     get_runner,
     register_runner,
-    register_validator,
     runner_kinds,
-    validate_point_params,
 )
 from repro.harness.spec import SweepPoint, SweepSpec
 from repro.harness.store import (
     ENTRY_VERSION,
-    KEY_NEUTRAL_PARAMS,
     MISS,
     SCHEMA_VERSION,
     ResultStore,
@@ -69,7 +66,6 @@ __all__ = [
     "DEFAULT_HOT_ENTRIES",
     "ENTRY_VERSION",
     "HotTier",
-    "KEY_NEUTRAL_PARAMS",
     "MISS",
     "ParallelRunner",
     "PointMetrics",
@@ -87,8 +83,6 @@ __all__ = [
     "execute_point_timed",
     "get_runner",
     "register_runner",
-    "register_validator",
     "resolve_jobs",
     "runner_kinds",
-    "validate_point_params",
 ]

@@ -73,55 +73,6 @@ def get_runner(kind: str) -> PointRunner:
         raise ValueError(f"unknown runner kind {kind!r} (known: {known})") from None
 
 
-#: Per-kind parameter validators, run *before* any point is claimed,
-#: queued, or computed.  A validator raises :class:`ValueError` with a
-#: message fit to show a user (the CLI relays it on stderr, the
-#: service as HTTP 400) — e.g. an unknown ``engine`` fails fast with
-#: the menu of valid engines instead of surfacing as a mid-sweep
-#: worker error.
-ParamValidator = Callable[[Mapping[str, Any]], None]
-_VALIDATORS: dict[str, ParamValidator] = {}
-
-
-def register_validator(kind: str) -> Callable[[ParamValidator], ParamValidator]:
-    def decorate(fn: ParamValidator) -> ParamValidator:
-        _VALIDATORS[kind] = fn
-        return fn
-
-    return decorate
-
-
-def validate_point_params(kind: str, params: Mapping[str, Any]) -> None:
-    """Raise :class:`ValueError` when ``params`` can never run."""
-    validator = _VALIDATORS.get(kind)
-    if validator is not None:
-        validator(params)
-
-
-@register_validator("accuracy")
-def _validate_accuracy(params: Mapping[str, Any]) -> None:
-    from repro.eval.accuracy import ENGINES
-
-    engine = params.get("engine", "vectorized")
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown accuracy engine {engine!r} "
-            f"(known: {', '.join(ENGINES)})"
-        )
-
-
-@register_validator("speculation")
-def _validate_speculation(params: Mapping[str, Any]) -> None:
-    from repro.sim.fastevents import ENGINES
-
-    engine = params.get("engine", "fast")
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown timing engine {engine!r} "
-            f"(known: {', '.join(ENGINES)})"
-        )
-
-
 def runner_kinds() -> tuple[str, ...]:
     return tuple(sorted(_RUNNERS))
 
@@ -170,11 +121,8 @@ def run_accuracy_point(params: dict[str, Any]) -> dict[str, Any]:
     """Train predictors on one app trace (Figures 7-8, Tables 3-4).
 
     Parameters: ``app`` (required), ``depth``, ``iterations``,
-    ``predictors``, ``num_procs``, ``seed``, ``race_seed``, ``engine``
-    — the same surface as :func:`repro.eval.accuracy.run_predictors`.
-    ``engine`` defaults to the vectorized trace pipeline; both engines
-    are bit-identical, so it is excluded from cache keys entirely
-    (:data:`~repro.harness.store.KEY_NEUTRAL_PARAMS`).
+    ``predictors``, ``num_procs``, ``seed``, ``race_seed`` — the same
+    surface as :func:`repro.eval.accuracy.run_predictors`.
     """
     from repro.eval.accuracy import run_predictors
 
@@ -186,7 +134,6 @@ def run_accuracy_point(params: dict[str, Any]) -> dict[str, Any]:
         iterations=params.get("iterations"),
         seed=params.get("seed", 1999),
         race_seed=params.get("race_seed", 7),
-        engine=params.get("engine", "vectorized"),
     )
     return {
         "runs": {
@@ -207,13 +154,8 @@ def run_speculation_point(params: dict[str, Any]) -> dict[str, Any]:
     """Run one app on Base/FR/SWI timing simulators (Figure 9, Table 5).
 
     Parameters: ``app`` (required), ``iterations``, ``num_procs``,
-    ``seed``, optional ``config`` overrides applied on top of the
-    default :class:`~repro.common.config.SystemConfig`, and an optional
-    ``engine`` (``"fast"`` | ``"compiled"`` | ``"reference"``)
-    timing-engine override.  The engines are bit-identical (golden
-    equivalence suite), so ``engine`` is excluded from cache keys
-    (:data:`~repro.harness.store.KEY_NEUTRAL_PARAMS`) and cached
-    entries stay valid whichever engine computed them.
+    ``seed``, and optional ``config`` overrides applied on top of the
+    default :class:`~repro.common.config.SystemConfig`.
     """
     from repro.common.config import SystemConfig
     from repro.eval.performance import PAPER_MODES, run_speculation
@@ -229,7 +171,6 @@ def run_speculation_point(params: dict[str, Any]) -> dict[str, Any]:
         iterations=params.get("iterations"),
         seed=params.get("seed", 1999),
         config=SystemConfig(**overrides),
-        engine=params.get("engine", "fast"),
     )
     modes: dict[str, Any] = {}
     for mode in PAPER_MODES:

@@ -63,21 +63,6 @@ ENTRY_VERSION = 3
 #: Sentinel distinguishing "no cached result" from a cached ``None``.
 MISS = object()
 
-#: Per-kind parameter names excluded from cache keys because they
-#: provably cannot change the result: the engine switches are
-#: bit-identical by golden-equivalence contract (accuracy:
-#: vectorized/reference; speculation: fast/compiled/reference), so a
-#: point computed with ``--set engine=reference`` reuses — and is
-#: reused by — the default engine's cached entry.  The stored entry
-#: still records the params that computed it; only the address drops
-#: them.  Claim keys derive from :meth:`ResultStore.key_for`, so the
-#: exactly-once guarantee follows the same identity.
-KEY_NEUTRAL_PARAMS: dict[str, frozenset[str]] = {
-    "accuracy": frozenset({"engine"}),
-    "speculation": frozenset({"engine"}),
-}
-
-
 @dataclass(frozen=True, slots=True)
 class StoredEntry:
     """A cached result plus its per-point metadata."""
@@ -132,13 +117,10 @@ class ResultStore:
     # addressing
     # ------------------------------------------------------------------
     def key_for(self, point: SweepPoint) -> str:
-        params = point.as_dict()
-        for name in KEY_NEUTRAL_PARAMS.get(point.kind, ()):
-            params.pop(name, None)
         return canonical_hash(
             {
                 "kind": point.kind,
-                "params": params,
+                "params": point.as_dict(),
                 "fingerprint": self.fingerprint,
             }
         )

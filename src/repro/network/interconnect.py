@@ -17,74 +17,35 @@ from repro.common.config import SystemConfig
 from repro.common.types import NodeId
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.fastevents import TimingQueue
+    from repro.sim.events import EventQueue
 
 
 class Interconnect:
     """Delivers callbacks across nodes with Table 1 latencies."""
 
-    def __init__(self, config: SystemConfig, events: "TimingQueue") -> None:
-        self._config = config
+    def __init__(self, config: SystemConfig, events: EventQueue) -> None:
         self._events = events
         self._recv_free = [0] * config.num_nodes
         self.messages_sent = 0
-        # Flat copies for the per-message fast path (send_call): one
-        # attribute fetch instead of a config chase per message.
+        # Flat copies for the per-message path: one attribute fetch
+        # instead of a config chase per message.
         self._network_cycles = config.network_cycles
         self._ni_cycles = config.ni_cycles
-        # send_call inlines the calendar queue's bucket insert (the NI
-        # is the single hottest event producer); on any other queue it
-        # falls back to the generic packed-insert API.
-        from repro.sim.fastevents import CalendarEventQueue
-
-        self._calendar = events if isinstance(events, CalendarEventQueue) else None
-
-    def send(
-        self, src: NodeId, dst: NodeId, fn: Callable[[], None]
-    ) -> None:
-        """Deliver ``fn`` at ``dst`` after network + NI processing.
-
-        ``src == dst`` models a processor operating on its own node
-        (no network traversal, no NI occupancy).
-        """
-        if src == dst:
-            self._events.schedule(0, fn)
-            return
-        self.messages_sent += 1
-        arrival = self._events.now + self._config.network_cycles
-        start = max(arrival, self._recv_free[dst])
-        done = start + self._config.ni_cycles
-        self._recv_free[dst] = done
-        self._events.at(done, fn)
 
     def send_call(
         self, src: NodeId, dst: NodeId, handler: Callable, *args
     ) -> None:
-        """Deliver ``handler(*args)`` at ``dst`` — the fast engine's path.
+        """Deliver ``handler(*args)`` at ``dst`` after network + NI processing.
 
-        Identical latency and NI-contention model as :meth:`send`, but
-        the event is a ``(handler, args)`` pair, so the caller does not
-        allocate a closure per message.  Delivery order relative to
-        :meth:`send` is preserved (both insert through the same queue).
+        ``src == dst`` models a processor operating on its own node (no
+        network traversal, no NI occupancy).  The event is a
+        ``(handler, args)`` pair, so the caller does not allocate a
+        closure per message.
         """
-        queue = self._calendar
-        if queue is None:
-            events = self._events
-            if src == dst:
-                events.insert(events.now, handler, args)
-                return
-            self.messages_sent += 1
-            arrival = events.now + self._network_cycles
-            recv_free = self._recv_free
-            start = recv_free[dst]
-            if arrival > start:
-                start = arrival
-            done = start + self._ni_cycles
-            recv_free[dst] = done
-            events.insert(done, handler, args)
-            return
-        # Calendar queue: inline the bucket insert.  Delivery times are
-        # never in the past (latencies are non-negative), so the
+        queue = self._events
+        # Inline the calendar queue's bucket insert (the NI is the
+        # single hottest event producer).  Delivery times are never in
+        # the past (latencies are non-negative), so the
         # schedule-into-the-past guard is statically satisfied here.
         if src == dst:
             done = queue.now

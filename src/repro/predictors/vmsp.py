@@ -60,13 +60,13 @@ class Vmsp(DirectoryPredictor):
     ) -> Outcome:
         """Observe a request without boxing it into a :class:`Message`.
 
-        The fast timing engine's speculation path: one call per
-        directory transaction, no per-message dataclass, no throwaway
-        set allocations.  The outcome, learning, and statistics are
+        The speculation engine's path: one call per directory
+        transaction, no per-message dataclass, no throwaway set
+        allocations.  The outcome, learning, and statistics are
         bit-identical to feeding the equivalent request through
-        :meth:`observe` (the reference engines keep doing exactly
-        that); the golden equivalence suite gates the two against each
-        other.
+        :meth:`observe` (the reference speculation engine in
+        ``tests/oracles/`` keeps doing exactly that); the equivalence
+        suite gates the two against each other.
         """
         if kind is MessageKind.READ:
             history = self._history.get(block, ())
@@ -160,7 +160,7 @@ class Vmsp(DirectoryPredictor):
         """Whether any reader has been observed since the last write.
 
         The allocation-free truthiness probe of :meth:`open_run`, for
-        the fast timing engine's first-of-run test.
+        the speculation engine's first-of-run test.
         """
         return bool(self._runs.get(block))
 

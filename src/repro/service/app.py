@@ -20,7 +20,6 @@ from repro.harness import (
     SweepPoint,
     SweepSpec,
     runner_kinds,
-    validate_point_params,
 )
 from repro.service.jobs import ComputePool, JobTable, PointTimeout, PoolSaturated
 from repro.service.metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE
@@ -268,27 +267,22 @@ class ServiceApp:
         gone.  With claim coordination active, peer replicas also write
         into the cache dir, so the counts are allowed to refresh via a
         bounded-staleness rescan; unclaimed replicas are the sole
-        writer and never rescan.  Compiled traces — both families,
-        accuracy (``trace/``) and timing (``timetrace/``) — share the
-        store's directory but are inputs, not point results: they are
-        excluded here and counted separately in ``trace_cache``.
+        writer and never rescan.  Only registered point kinds count:
+        compiled traces (``trace/``) share the directory but are
+        inputs, counted separately in ``trace_cache``, and any other
+        subdirectory (claims, or a storage kind an older build wrote)
+        holds no point results.
         """
         store = self.pool.runner.store
         if store is None:
             return None
-        from repro.trace.cache import TIMETRACE_KIND, TRACE_KIND
-
         counts = store.entry_counts(
             max_age_s=_SHARED_CACHE_RESCAN_S if claims_active else None
         )
-        return sum(
-            count
-            for kind, count in counts.items()
-            if kind not in (TRACE_KIND, TIMETRACE_KIND)
-        )
+        return sum(counts.get(kind, 0) for kind in runner_kinds())
 
     def _count_trace_entries(self, trace_dir: str | None) -> int | None:
-        """Compiled traces on disk (both families).
+        """Compiled traces on disk (``trace/`` entries only).
 
         On the serve path the trace dir IS the store's directory (see
         ``ReproService.__init__``), so the store's incremental counts
@@ -297,22 +291,18 @@ class ServiceApp:
         """
         if trace_dir is None:
             return None
-        from repro.trace.cache import TIMETRACE_KIND, TRACE_KIND
+        from repro.trace.cache import TRACE_KIND
 
         store = self.pool.runner.store
         if store is not None and str(store.root) == trace_dir:
-            counts = store.entry_counts()
-            return counts.get(TRACE_KIND, 0) + counts.get(TIMETRACE_KIND, 0)
+            return store.entry_counts().get(TRACE_KIND, 0)
         now = time.monotonic()
         if self._trace_count is None or now - self._trace_count[0] > _CACHE_COUNT_TTL_S:
             from pathlib import Path
 
             self._trace_count = (
                 now,
-                sum(
-                    len(list(Path(trace_dir).glob(f"{kind}/*.json")))
-                    for kind in (TRACE_KIND, TIMETRACE_KIND)
-                ),
+                len(list(Path(trace_dir).glob(f"{TRACE_KIND}/*.json"))),
             )
         return self._trace_count[1]
 
@@ -404,7 +394,6 @@ class ServiceApp:
                 return error_response(400, f"unknown reserved parameter {name!r}")
             params[name] = parse_literal(raw)
         try:
-            validate_point_params(kind, params)
             point = SweepPoint.make(kind, params)
         except (TypeError, ValueError) as exc:
             return error_response(400, f"invalid point parameters: {exc}")
@@ -468,8 +457,6 @@ class ServiceApp:
             return error_response(400, "at least one axis is required")
         try:
             points = SweepSpec(kind=kind, axes=axes, base=base).points()
-            for point in points:
-                validate_point_params(kind, point.as_dict())
         except (TypeError, ValueError) as exc:
             return error_response(400, f"invalid sweep grid: {exc}")
         if len(points) > MAX_SWEEP_POINTS:

@@ -38,12 +38,11 @@ def record_app_trace(
 ) -> list[dict[str, Any]]:
     """The app's home-directory message stream as NDJSON-ready events.
 
-    Exactly the stream the reference evaluation trains on
-    (:func:`repro.eval.accuracy.run_predictors`): the workload's block
-    scripts replayed through the protocol emulator with the same
-    deterministic race RNG, block-major.  Streaming these events
-    through a session therefore reproduces the batch numbers
-    bit-for-bit.
+    Exactly the stream :func:`repro.eval.accuracy.run_predictors`
+    scores: the workload's block scripts replayed through the protocol
+    emulator with the same deterministic race RNG, block-major.
+    Streaming these events through a session therefore reproduces the
+    batch numbers bit-for-bit.
     """
     from repro.apps.registry import make_app
     from repro.common.rng import DeterministicRng

@@ -4,13 +4,13 @@ The paper's predictors are *online* by construction — they observe a
 stream of coherence messages arriving at a home directory and predict
 the next sharers — so the service can hold one live predictor per
 client instead of only answering precomputed sweep points.  A session
-is exactly the reference evaluation path of
-:func:`repro.eval.accuracy.run_predictors` kept open between requests:
-the client picks a predictor kind, depth, and node count, then feeds
-NDJSON events in batches; the server applies each event through
-``DirectoryPredictor.observe`` and answers with the per-event outcome,
-the predicted next token, and the running accuracy.  Closing the
-session flushes open read runs (VMSP) and reports the same
+runs the per-message predictors that
+:func:`repro.eval.accuracy.run_predictors` is proven equal to, kept
+open between requests: the client picks a predictor kind, depth, and
+node count, then feeds NDJSON events in batches; the server applies
+each event through ``DirectoryPredictor.observe`` and answers with the
+per-event outcome, the predicted next token, and the running accuracy.
+Closing the session flushes open read runs (VMSP) and reports the same
 ``accuracy`` / ``coverage`` / ``correct_fraction`` / ``average_pte`` /
 ``overhead_bytes`` numbers a batch run over the concatenated event
 sequence would produce — bit-identical, which the golden tests enforce.
@@ -224,7 +224,7 @@ class PredictorSession:
         """End-of-stream summary, mirroring the batch evaluation exactly.
 
         Flushes still-open read runs (VMSP commits them to the tables,
-        like the reference engine at end of trace) and computes the
+        as the vectorized scorer does at end of trace) and computes the
         Table 3/4 numbers from the same formulas
         :func:`repro.eval.accuracy.run_predictors` uses — the ``run``
         object is byte-comparable to a batch ``accuracy`` sweep point's

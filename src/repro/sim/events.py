@@ -1,116 +1,111 @@
-"""Discrete-event queue for the timing simulator (reference engine).
+"""Discrete-event queue for the timing simulator: a calendar queue.
 
-This heapq implementation is the trusted semantic baseline the
-calendar-queue engine (:mod:`repro.sim.fastevents`) is gated against:
-``Machine(engine="reference")`` runs on it unchanged, and the golden
-equivalence suite asserts bit-identical results between the two.
+Profiling the Figure 9 / Table 5 sweeps shows events *cluster*: a
+16-node run schedules 1.5–3 events per distinct cycle (barrier
+releases, lock-step compute phases, NI-serialized deliveries), and the
+hot handlers are tiny, so queue mechanics and allocation are a large
+slice of wall time.  :class:`EventQueue` is therefore a calendar
+(bucket) queue keyed by cycle:
+
+* each pending cycle owns one FIFO bucket (a plain list, appended in
+  insertion order), so a schedule is an ``O(1)`` list append instead of
+  an ``O(log n)`` heap push;
+* a small int heap orders only the *distinct* pending cycles (one heap
+  entry per bucket, not per event);
+* :meth:`run` drains a whole bucket per heap pop — the same-cycle
+  batch-drain mode — and events append to the live bucket when they
+  schedule work for the current cycle;
+* events are ``(handler, args)`` tuples, not closures: the hottest
+  paths (interconnect delivery, processor resume, home request
+  servicing) schedule a prebound method plus its arguments and never
+  allocate a closure or cell object per event.
+
+Ties break by insertion order, ``now`` advances per event, and a zero
+budget is a no-op.  The heapq queue this replaced is kept as a frozen
+oracle in ``tests/oracles/``; ``tests/sim/test_events_property.py``
+replays arbitrary programs against both.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Callable
 
 
 class EventQueue:
-    """A time-ordered queue of zero-argument callbacks.
+    """Bucket-per-cycle event queue with FIFO tie order.
 
-    Ties are broken by insertion order, which keeps the simulation
-    deterministic for a fixed workload and seed.
+    Invariant: every bucket in ``_buckets`` is non-empty, and the
+    ``_times`` heap holds exactly one entry per bucket (pushed when the
+    bucket is created, popped when it is deleted) — so ``_times[0]`` is
+    always the next cycle with pending work and no lazy-deletion sweep
+    is ever needed.  The simulator's hottest producers (the
+    interconnect, homes and processors) inline the bucket insert of
+    :meth:`call`, relying on this invariant.
     """
 
-    def __init__(self) -> None:
-        self._heap: list[tuple[int, int, Callable[[], None]]] = []
-        self._sequence = 0
-        self.now = 0
+    __slots__ = ("now", "_buckets", "_times", "_size")
 
-    def schedule(self, delay: int, fn: Callable[[], None]) -> None:
+    def __init__(self) -> None:
+        self.now = 0
+        self._buckets: dict[int, list[tuple[Callable, tuple]]] = {}
+        self._times: list[int] = []
+        self._size = 0
+
+    def call(self, delay: int, handler: Callable, *args) -> None:
+        """Schedule ``handler(*args)`` after ``delay`` cycles."""
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        heapq.heappush(self._heap, (self.now + delay, self._sequence, fn))
-        self._sequence += 1
-
-    def at(self, time: int, fn: Callable[[], None]) -> None:
-        if time < self.now:
-            raise ValueError("cannot schedule into the past")
-        heapq.heappush(self._heap, (time, self._sequence, fn))
-        self._sequence += 1
-
-    # ------------------------------------------------------------------
-    # (handler, args) scheduling — the reference implementation
-    # ------------------------------------------------------------------
-    def call(self, delay: int, handler: Callable, *args) -> None:
-        """Schedule ``handler(*args)`` after ``delay`` cycles.
-
-        This is the reference realization of the fast engine's
-        low-allocation event representation: with arguments it wraps
-        the call in a fresh closure (the reference engine's historical
-        per-event cost profile); without arguments it degrades to a
-        plain :meth:`schedule`, exactly as the pre-switch call sites
-        behaved.  Execution order is identical either way.
-        """
-        if args:
-            self.schedule(delay, lambda: handler(*args))
+        time = self.now + delay
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [(handler, args)]
+            heappush(self._times, time)
         else:
-            self.schedule(delay, handler)
-
-    def call_at(self, time: int, handler: Callable, *args) -> None:
-        """Schedule ``handler(*args)`` at absolute cycle ``time``."""
-        if args:
-            self.at(time, lambda: handler(*args))
-        else:
-            self.at(time, handler)
-
-    def insert(self, time: int, handler: Callable, args: tuple) -> None:
-        """Packed-arguments insert (see the calendar queue's variant)."""
-        if args:
-            self.at(time, lambda: handler(*args))
-        else:
-            self.at(time, handler)
+            bucket.append((handler, args))
+        self._size += 1
 
     def run(self, max_events: int | None = None) -> int:
         """Drain the queue; returns the number of events processed.
 
-        The budget is checked *before* each pop: ``run(max_events=0)``
-        returns 0 with the queue — and ``now`` — untouched, so a caller
-        can use a zero budget as a pure no-op probe.
+        The budget is checked before each event, so ``run(max_events=0)``
+        is a pure no-op, and a budget exhausted mid-bucket leaves the
+        bucket's remaining events (and their FIFO order) intact.
         """
         if max_events is not None and max_events < 0:
             raise ValueError("max_events must be >= 0")
         processed = 0
-        while self._heap and (max_events is None or processed < max_events):
-            time, _seq, fn = heapq.heappop(self._heap)
+        buckets = self._buckets
+        times = self._times
+        while times and (max_events is None or processed < max_events):
+            time = times[0]
+            bucket = buckets[time]
             self.now = time
-            fn()
-            processed += 1
+            i = 0
+            try:
+                if max_events is None:
+                    # Batch drain: one heap pop retires the whole
+                    # cycle.  A ``for`` over the live list iterates at
+                    # C speed *and* picks up same-cycle events that
+                    # handlers append while the bucket drains.
+                    for handler, args in bucket:
+                        i += 1
+                        handler(*args)
+                else:
+                    limit = max_events - processed
+                    while i < len(bucket) and i < limit:
+                        handler, args = bucket[i]
+                        i += 1
+                        handler(*args)
+            finally:
+                self._size -= i
+                if i >= len(bucket):
+                    del buckets[time]
+                    heappop(times)
+                elif i:
+                    del bucket[:i]
+                processed += i
         return processed
-
-    def run_cycle(self) -> int:
-        """Process every event of the next pending cycle.
-
-        The same-cycle batch-drain primitive: drains the earliest
-        scheduled cycle completely — including events scheduled *onto*
-        that cycle while it drains — and returns the number processed
-        (0 when the queue is empty).
-        """
-        if not self._heap:
-            return 0
-        cycle = self._heap[0][0]
-        processed = 0
-        while self._heap and self._heap[0][0] == cycle:
-            time, _seq, fn = heapq.heappop(self._heap)
-            self.now = time
-            fn()
-            processed += 1
-        return processed
-
-    def peek_time(self) -> int | None:
-        """Scheduled time of the next event, or None when the queue is
-        empty — lets the timing simulator look ahead (e.g. to bound a
-        bounded-drain ``run``) without disturbing the heap."""
-        if not self._heap:
-            return None
-        return self._heap[0][0]
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._size

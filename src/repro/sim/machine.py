@@ -19,9 +19,9 @@ from repro.common.types import BlockId, MessageKind, NodeId
 from repro.network.interconnect import Interconnect
 from repro.sim.address import home_of
 from repro.sim.caches import ProcessorCache, RemoteCache
-from repro.sim.fastevents import make_event_queue
-from repro.sim.home import FastHomeDirectory, HomeDirectory, MemRequest
-from repro.sim.processor import FastProcessor, Processor
+from repro.sim.events import EventQueue
+from repro.sim.home import HomeDirectory, MemRequest
+from repro.sim.processor import Processor
 from repro.sim.sync import BarrierManager, LockManager
 from repro.speculation.engine import SpeculationEngine, SpeculationStats
 
@@ -95,32 +95,7 @@ class Machine:
         config: SystemConfig | None = None,
         mode: MachineMode = MachineMode.BASE,
         spec_depth: int = 1,
-        engine: str = "fast",
-        trace_key: dict | None = None,
     ) -> None:
-        """``engine`` selects the timing engine (see docs/performance.md):
-
-        * ``"fast"`` (default) — the calendar event queue plus the
-          low-allocation component subclasses;
-        * ``"compiled"`` — the fast engine plus timing-trace record /
-          replay: a cached macro-step trace replays the run in batch
-          (``repro.sim.timetrace``), a miss records one live run;
-        * ``"reference"`` — the original heapq queue and closure-based
-          components, kept as the trusted baseline.
-
-        All three produce bit-identical :class:`RunResult`\\ s (the
-        golden equivalence suite gates this), so the engine choice
-        never needs to appear in experiment cache keys.
-
-        ``trace_key`` (compiled engine only) names the parameters that
-        deterministically produced ``workload`` — e.g. ``{"app": ...,
-        "num_procs": ..., "iterations": ..., "seed": ...}`` — and
-        becomes the trace-cache address together with the mode, the
-        speculation depth, and every config field.  Without it the
-        workload content is fingerprinted instead.
-        """
-        # make_event_queue validates `engine` (raising before any
-        # component is built), so no separate check is needed here.
         self.config = config or SystemConfig()
         if workload.num_procs != self.config.num_nodes:
             raise ValueError(
@@ -129,34 +104,14 @@ class Machine:
             )
         self.workload = workload
         self.mode = mode
-        self.engine = engine
-        self.spec_depth = spec_depth
-        self.trace_key = dict(trace_key) if trace_key is not None else None
-        self._fast = engine in ("fast", "compiled")
-        self._recorder = None
-        #: Events the last live run processed (set by :meth:`_run_live`,
-        #: recorded into timing traces).
+        #: Events the last :meth:`run` processed.
         self.events_processed = 0
         self._swi_hints = mode in (MachineMode.SWI, MachineMode.MIG)
-        home_cls = FastHomeDirectory if self._fast else HomeDirectory
-        proc_cls = FastProcessor if self._fast else Processor
-        self.events = make_event_queue(engine)
+        self.events = EventQueue()
         self.net = Interconnect(self.config, self.events)
-        if engine == "compiled":
-            # Imported lazily to keep repro.sim.machine importable from
-            # the timetrace modules themselves.
-            from repro.sim.timetrace.recorder import RecordingBarrierManager
-
-            self.barrier = RecordingBarrierManager(
-                self.config.num_nodes,
-                self.config,
-                self.events,
-                on_fire=self._barrier_fired,
-            )
-        else:
-            self.barrier = BarrierManager(
-                self.config.num_nodes, self.config, self.events
-            )
+        self.barrier = BarrierManager(
+            self.config.num_nodes, self.config, self.events
+        )
         self.locks = LockManager(self.config, self.events)
         self.stats = StatSet()
         self._request_blocks: dict[str, set[BlockId]] = {}
@@ -165,7 +120,7 @@ class Machine:
         #: re-resolves the block set on every request.
         self._req_count_cache: dict[str, tuple[str, set[BlockId]]] = {}
         self._last_write: dict[NodeId, BlockId] = {}
-        # Engines and nodes are built before homes so the fast home
+        # Engines and nodes are built before homes so the home
         # directories can cache direct references to both.
         self._engines: list[SpeculationEngine] | None = None
         if mode is not MachineMode.BASE:
@@ -175,7 +130,6 @@ class Machine:
                     swi_enabled=mode in (MachineMode.SWI, MachineMode.MIG),
                     depth=spec_depth,
                     migratory_enabled=(mode is MachineMode.MIG),
-                    fast_path=self._fast,
                 )
                 for n in range(self.config.num_nodes)
             ]
@@ -183,14 +137,16 @@ class Machine:
             NodeContext(
                 cache=ProcessorCache(),
                 remote_cache=RemoteCache(),
-                processor=proc_cls(n, self, workload.phases),
+                processor=Processor(n, self, workload.phases),
             )
             for n in range(self.config.num_nodes)
         ]
-        self._homes = [home_cls(n, self) for n in range(self.config.num_nodes)]
-        #: Prebound per-home request handlers for the fast processors
-        #: (one bound method for the life of the run, not one per
-        #: memory request).
+        self._homes = [
+            HomeDirectory(n, self) for n in range(self.config.num_nodes)
+        ]
+        #: Prebound per-home request handlers for the processors (one
+        #: bound method for the life of the run, not one per memory
+        #: request).
         self._home_request = [h.request for h in self._homes]
 
     # ------------------------------------------------------------------
@@ -217,14 +173,6 @@ class Machine:
         genuinely wide sharing; they surface in ``RunResult.counters`` as
         ``req_<kind>_blocks`` next to the per-kind request totals.
         """
-        if kind is None:
-            return
-        self.stats.bump(f"req_{kind.value}")
-        self._request_blocks.setdefault(kind.value, set()).add(block)
-
-    def count_request_fast(self, kind: MessageKind | None, block: BlockId) -> None:
-        """The fast engine's :meth:`count_request`: same counters, no
-        per-request key formatting or block-set re-resolution."""
         if kind is None:
             return
         value = kind.value
@@ -270,15 +218,7 @@ class Machine:
             return
         home = self.home_of(previous)
         hint = MemRequest(kind="swi-recall", block=previous, requester=pid)
-        if self._fast:
-            self.net.send_call(pid, home, self._home_request[home], hint)
-        else:
-            self.net.send(pid, home, lambda: self._homes[home].request(hint))
-
-    def _barrier_fired(self) -> None:
-        """Compiled-engine hook: one macro step ends at each barrier."""
-        if self._recorder is not None:
-            self._recorder.take()
+        self.net.send_call(pid, home, self._home_request[home], hint)
 
     # ------------------------------------------------------------------
     def run(self, max_events: int | None = None) -> RunResult:
@@ -288,20 +228,7 @@ class Machine:
         pending raises :class:`EventBudgetExhausted`; an empty queue
         with unfinished processors is a genuine deadlock and raises a
         plain ``RuntimeError``.
-
-        The compiled engine replays a cached timing trace when one
-        exists, or records this run for the next caller; bounded runs
-        always execute live so the budget-exhaustion and deadlock
-        semantics above hold unchanged (a replay could not know where
-        a smaller budget would have stopped).
         """
-        if self.engine == "compiled" and max_events is None:
-            from repro.sim.timetrace.cache import run_compiled
-
-            return run_compiled(self)
-        return self._run_live(max_events)
-
-    def _run_live(self, max_events: int | None) -> RunResult:
         for context in self._nodes:
             context.processor.start()
         processed = self.events.run(max_events=max_events)

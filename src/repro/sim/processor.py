@@ -28,7 +28,17 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Processor:
-    """One simulated processor executing its program."""
+    """One simulated processor executing its program.
+
+    No per-resume closures: every stall-attributed wait (request
+    retirement, speculative fill, barrier release, lock grant) passes a
+    prebound resume method plus the start cycle as a
+    ``(handler, args)`` event.  The hottest continuations additionally
+    inline the calendar queue's bucket insert and reach directly into
+    the node's cache dictionaries (``ProcessorCache._state`` /
+    ``RemoteCache._entries``) — friend access that trades abstraction
+    for the per-op call frames.
+    """
 
     def __init__(self, pid: NodeId, machine: "Machine", phases: list[Phase]) -> None:
         self.pid = pid
@@ -41,146 +51,6 @@ class Processor:
         self.stall_cycles = 0
         self.sync_cycles = 0
         self.finish_time: int | None = None
-
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        self._next_phase()
-
-    def waiting_for(self, block: BlockId) -> bool:
-        """True while a request for ``block`` is in flight."""
-        return self._outstanding == block
-
-    # ------------------------------------------------------------------
-    def _next_phase(self) -> None:
-        self._phase_index += 1
-        if self._phase_index >= len(self._phases):
-            self.finish_time = self._m.events.now
-            return
-        self._ops = self._phases[self._phase_index].ops_for(self.pid)
-        self._op_index = 0
-        self._step()
-
-    def _step(self) -> None:
-        if self._op_index >= len(self._ops):
-            self._barrier()
-            return
-        op = self._ops[self._op_index]
-        self._op_index += 1
-        if isinstance(op, Compute):
-            self._m.events.schedule(op.cycles, self._step)
-        elif isinstance(op, MemRead):
-            self._load(op.block)
-        elif isinstance(op, MemWrite):
-            self._store(op.block)
-        elif isinstance(op, LockAcquire):
-            self._acquire(op.lock)
-        elif isinstance(op, LockRelease):
-            self._m.locks.release(op.lock, self.pid)
-            self._m.events.schedule(0, self._step)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown op {op!r}")
-
-    # ------------------------------------------------------------------
-    # memory operations
-    # ------------------------------------------------------------------
-    def _load(self, block: BlockId) -> None:
-        node = self._m.node(self.pid)
-        if node.cache.can_read(block):
-            self._m.stats.bump("cache_hits")
-            self._m.events.schedule(self._m.config.cache_hit_cycles, self._step)
-            return
-        spec = node.remote_cache.consume(block)
-        if spec is not None:
-            # Speculative hit: a pushed read-only copy is waiting in the
-            # remote cache; referencing it verifies the speculation.
-            self._m.stats.bump(f"spec_hits_{spec.origin}")
-            engine = self._m.engine_for(self._m.home_of(block))
-            if engine is not None:
-                engine.spec_feedback(block, self.pid, used=True)
-            node.cache.set_state(block, CacheState.SHARED)
-            started = self._m.events.now
-
-            def filled() -> None:
-                self.stall_cycles += self._m.events.now - started
-                self._step()
-
-            self._m.events.schedule(self._m.config.local_access_cycles, filled)
-            return
-        self._issue("read", block)
-
-    def _store(self, block: BlockId) -> None:
-        node = self._m.node(self.pid)
-        if node.cache.can_write(block):
-            self._m.stats.bump("cache_hits")
-            self._m.note_store_hit(self.pid, block)
-            self._m.events.schedule(self._m.config.cache_hit_cycles, self._step)
-            return
-        self._issue("write", block)
-
-    def _issue(self, kind: str, block: BlockId) -> None:
-        started = self._m.events.now
-        self._outstanding = block
-        if kind == "write":
-            self._m.note_write_issued(self.pid, block)
-
-        def done() -> None:
-            self._outstanding = None
-            # A granted copy supersedes any stale speculative copy.
-            stale = self._m.node(self.pid).remote_cache.evict(block)
-            if stale is not None and not stale.referenced:
-                engine = self._m.engine_for(self._m.home_of(block))
-                if engine is not None:
-                    engine.spec_feedback(block, self.pid, used=False, raced=True)
-            self.stall_cycles += self._m.events.now - started
-            self._step()
-
-        request = MemRequest(kind=kind, block=block, requester=self.pid, on_done=done)
-        home = self._m.home_of(block)
-        self._m.net.send(
-            self.pid, home, lambda: self._m.home(home).request(request)
-        )
-
-    # ------------------------------------------------------------------
-    # synchronization
-    # ------------------------------------------------------------------
-    def _barrier(self) -> None:
-        started = self._m.events.now
-
-        def released() -> None:
-            self.sync_cycles += self._m.events.now - started
-            self._next_phase()
-
-        self._m.barrier.arrive(self.pid, released)
-
-    def _acquire(self, lock: int) -> None:
-        started = self._m.events.now
-
-        def granted() -> None:
-            self.sync_cycles += self._m.events.now - started
-            self._step()
-
-        self._m.locks.acquire(lock, self.pid, granted)
-
-
-class FastProcessor(Processor):
-    """The fast engine's processor: no per-resume closures.
-
-    Every stall-attributed wait of the reference processor (request
-    retirement, speculative fill, barrier release, lock grant) builds a
-    closure capturing the start cycle; this subclass passes a prebound
-    resume method plus the start cycle as ``(handler, args)`` events
-    instead.  Its hottest continuations additionally inline the
-    calendar queue's bucket insert and reach directly into the node's
-    cache dictionaries (``ProcessorCache._state`` /
-    ``RemoteCache._entries``) — friend access that trades abstraction
-    for the per-op call frames.  The scheduling sequence and every
-    state mutation are identical to the reference processor's, so
-    execution and the stall/sync accounting match bit-for-bit (gated
-    by tests/sim/test_engine_equivalence.py).
-    """
-
-    def __init__(self, pid: NodeId, machine: "Machine", phases: list[Phase]) -> None:
-        super().__init__(pid, machine, phases)
         # Prebound per-event handlers (an attribute fetch allocates
         # nothing; ``self._method`` builds a bound method per event)
         # plus flat copies of the per-event ``self._m...`` chases.
@@ -189,7 +59,7 @@ class FastProcessor(Processor):
         self._request_done_fn = self._request_done
         self._barrier_released_fn = self._barrier_released
         self._lock_granted_fn = self._lock_granted
-        self._ev = machine.events  # always the calendar queue when fast
+        self._ev = machine.events
         self._ev_call = machine.events.call
         self._send_call = machine.net.send_call
         self._stats_bump = machine.stats.bump
@@ -211,12 +81,23 @@ class FastProcessor(Processor):
             kind="read", block=0, requester=pid, on_done=self._request_done_fn
         )
 
+    # ------------------------------------------------------------------
     def start(self) -> None:
         self._node = self._m.node(self.pid)
         self._home_request = self._m._home_request
         self._cstate = self._node.cache._state
         self._rentries = self._node.remote_cache._entries
-        super().start()
+        self._next_phase()
+
+    # ------------------------------------------------------------------
+    def _next_phase(self) -> None:
+        self._phase_index += 1
+        if self._phase_index >= len(self._phases):
+            self.finish_time = self._ev.now
+            return
+        self._ops = self._phases[self._phase_index].ops_for(self.pid)
+        self._op_index = 0
+        self._step()
 
     def _sched_step(self, delay: int) -> None:
         """Inlined calendar insert of the prebound step continuation."""

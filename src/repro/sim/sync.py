@@ -5,12 +5,11 @@ spinning) — the paper folds barrier and lock waiting into computation
 time in its Figure 9 breakdown, so only the *duration* of waiting
 matters, not its memory traffic.
 
-Both managers accept resume callbacks in the timing engines' low
-allocation ``(handler, *args)`` form: the fast engine's processors
-pass a prebound method plus its arguments, the reference engine's
-processors pass a zero-argument closure — either way the wakeup is
-scheduled through :meth:`EventQueue.call`, which preserves FIFO
-release order on both engines.
+Both managers accept resume callbacks in the low-allocation
+``(handler, *args)`` form — a processor passes a prebound method plus
+its arguments (a zero-argument closure works too) — and schedule the
+wakeup through :meth:`EventQueue.call`, which preserves FIFO release
+order.
 """
 
 from __future__ import annotations
@@ -22,14 +21,14 @@ from repro.common.config import SystemConfig
 from repro.common.types import NodeId
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.fastevents import TimingQueue
+    from repro.sim.events import EventQueue
 
 
 class BarrierManager:
     """A single global sense-reversing barrier."""
 
     def __init__(
-        self, num_procs: int, config: SystemConfig, events: "TimingQueue"
+        self, num_procs: int, config: SystemConfig, events: "EventQueue"
     ) -> None:
         self._num_procs = num_procs
         self._config = config
@@ -52,7 +51,7 @@ class BarrierManager:
 class LockManager:
     """FIFO spin locks, granted in request-arrival order."""
 
-    def __init__(self, config: SystemConfig, events: "TimingQueue") -> None:
+    def __init__(self, config: SystemConfig, events: "EventQueue") -> None:
         self._config = config
         self._events = events
         self._holder: dict[int, NodeId] = {}

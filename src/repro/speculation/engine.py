@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.types import BlockId, Message, MessageKind, NodeId
+from repro.common.types import BlockId, MessageKind, NodeId
 from repro.predictors.base import HistoryKey, ReadVector
 from repro.predictors.swi import EarlyWriteInvalidateTable
 from repro.predictors.vmsp import Vmsp
@@ -57,17 +57,9 @@ class SpeculationEngine:
         swi_enabled: bool,
         depth: int = 1,
         migratory_enabled: bool = False,
-        fast_path: bool = True,
     ) -> None:
         self.home = home
         self.swi_enabled = swi_enabled
-        #: Which predictor entry points the request observers use.  The
-        #: fast timing engine presents requests through the predictor's
-        #: allocation-free API; the reference engine keeps the original
-        #: Message-boxed path so it stays the frozen baseline the
-        #: golden equivalence suite compares against.  Both are
-        #: bit-identical in outcome.
-        self.fast_path = fast_path
         #: Extension beyond the paper (its stated future work): detect
         #: migratory read+upgrade pairs and grant the read exclusively,
         #: executing the predicted upgrade speculatively.
@@ -93,16 +85,12 @@ class SpeculationEngine:
         The first read of a sequence (empty open run) triggers
         speculation for the rest of the predicted read vector
         (Section 4.1).  Later reads of the same run trigger nothing.
+        Requests reach the VMSP through its allocation-free
+        ``observe_request``/``has_open_run`` entry points.
         """
         self._resolve_swi(block, reader)
-        if self.fast_path:
-            first_of_run = not self.predictor.has_open_run(block)
-            self.predictor.observe_request(MessageKind.READ, reader, block)
-        else:
-            first_of_run = not self.predictor.open_run(block)
-            self.predictor.observe(
-                Message(kind=MessageKind.READ, node=reader, block=block)
-            )
+        first_of_run = not self.predictor.has_open_run(block)
+        self.predictor.observe_request(MessageKind.READ, reader, block)
         if not first_of_run:
             return frozenset()
         predicted = self.predictor.predicted_read_vector(block)
@@ -115,10 +103,7 @@ class SpeculationEngine:
     ) -> None:
         """Observe a write/upgrade request arriving at this home."""
         self._resolve_swi(block, writer)
-        if self.fast_path:
-            self.predictor.observe_request(kind, writer, block)
-        else:
-            self.predictor.observe(Message(kind=kind, node=writer, block=block))
+        self.predictor.observe_request(kind, writer, block)
 
     # ------------------------------------------------------------------
     # migratory write speculation (extension; the paper's future work)

@@ -45,14 +45,6 @@ TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"
 #: so old payloads simply miss instead of mis-decoding.
 TRACE_SCHEMA = 1
 
-#: The second trace family: compiled *timing* traces (macro-step
-#: records of whole Machine runs, see ``repro.sim.timetrace``).  They
-#: share the configured directory with accuracy traces but live under
-#: their own kind and schema, so either family can change layout
-#: without invalidating the other.  Like :data:`TRACE_KIND`, it is a
-#: storage kind only — never a runnable sweep point.
-TIMETRACE_KIND = "timetrace"
-
 _UNSET = object()
 _configured: Any = _UNSET
 _lock = threading.Lock()
@@ -98,25 +90,6 @@ def trace_store() -> ResultStore | None:
     )
 
 
-def timetrace_store() -> ResultStore | None:
-    """The timing-trace family's store, or None when caching is off.
-
-    Same directory as :func:`trace_store`, separately fingerprinted:
-    ``repro.sim.timetrace.trace.TIMETRACE_SCHEMA`` bumps invalidate
-    timing traces without touching compiled accuracy traces.
-    """
-    directory = configured_trace_dir()
-    if directory is None:
-        return None
-    from repro.sim.timetrace.trace import TIMETRACE_SCHEMA
-
-    return ResultStore(
-        directory,
-        fingerprint={"timetrace_schema": TIMETRACE_SCHEMA},
-        compact=True,
-    )
-
-
 # ----------------------------------------------------------------------
 # hit/miss accounting
 # ----------------------------------------------------------------------
@@ -133,17 +106,6 @@ def _note(hit: bool) -> None:
             _hits += 1
         else:
             _misses += 1
-
-
-def note_trace_event(hit: bool) -> None:
-    """Record one trace-cache hit or miss (both trace families).
-
-    The timing-trace pipeline reports through the same process-local
-    counters as accuracy traces, so per-point provenance
-    (:func:`repro.harness.runners.execute_point_instrumented`), sweep
-    reports, and ``/statz`` cover both without new plumbing.
-    """
-    _note(hit)
 
 
 # ----------------------------------------------------------------------

@@ -214,30 +214,13 @@ class TestSweepSubcommand:
         assert cli_main(argv) == 1
         assert "invalid sweep parameters" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["speculation", "accuracy"])
-    def test_unknown_engine_fails_fast_with_menu(self, capsys, tmp_path, kind):
-        """An invalid --set engine= dies before any point runs, naming
-        the valid engines, instead of erroring mid-sweep."""
-        argv = [
-            "sweep",
-            "--kind",
-            kind,
-            "--axis",
-            "app=em3d,moldyn",
-            "--set",
-            "engine=bogus",
-            "--cache-dir",
-            str(tmp_path),
-        ]
-        assert cli_main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""  # no point was executed or printed
-        assert "bogus" in captured.err
-        assert "reference" in captured.err  # the menu of valid engines
-        assert not list(tmp_path.glob(f"{kind}/*.json"))
+    def test_legacy_engine_setting_is_an_ordinary_param(self, capsys, tmp_path):
+        """There is no engine switch any more: an old ``--set engine=``
+        runs the one simulator and is keyed like any parameter no
+        runner reads."""
+        import json
 
-    def test_valid_engine_accepted(self, capsys, tmp_path):
-        argv = [
+        base = [
             "sweep",
             "--kind",
             "speculation",
@@ -245,16 +228,17 @@ class TestSweepSubcommand:
             "app=em3d",
             "--set",
             "iterations=2",
-            "--set",
-            "engine=compiled",
             "--cache-dir",
             str(tmp_path),
         ]
-        assert cli_main(argv) == 0
-        import json
-
-        point = json.loads(capsys.readouterr().out.strip().splitlines()[0])
-        assert point["result"]["modes"]["Base-DSM"]["normalized"] == 1.0
+        assert cli_main(base + ["--set", "engine=compiled"]) == 0
+        legacy = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+        assert cli_main(base) == 0
+        plain = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+        assert legacy["params"]["engine"] == "compiled"
+        assert legacy["result"] == plain["result"]
+        assert legacy["result"]["modes"]["Base-DSM"]["normalized"] == 1.0
+        assert len(list(tmp_path.glob("speculation/*.json"))) == 2
 
     def test_cache_dir_env_var_resolved_at_call_time(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))

@@ -41,41 +41,42 @@ class TestRoundTrip:
         assert len(store) == 1
 
 
-class TestKeyNeutralParams:
-    """``engine`` never addresses a cache entry: the timing and trace
-    engines are bit-identical by golden-equivalence contract, so a
-    point computed by any engine is reused by all of them."""
+class TestPinnedKeys:
+    """Store addresses are a compatibility contract: a change to how
+    keys are computed (or to the default fingerprint) silently turns
+    every existing cache directory into misses.  These keys were
+    computed by the release that first wrote such caches."""
 
-    @pytest.mark.parametrize("kind", ["speculation", "accuracy"])
-    def test_engine_excluded_from_key(self, tmp_path, kind):
-        store = ResultStore(tmp_path)
-        base = {"app": "em3d", "iterations": 2}
-        plain = SweepPoint.make(kind, base)
-        keyed = [
-            SweepPoint.make(kind, {**base, "engine": engine})
-            for engine in ("fast", "compiled", "reference")
-        ]
-        for point in keyed:
-            assert store.key_for(point) == store.key_for(plain)
-            assert store.path_for(point) == store.path_for(plain)
-
-    def test_engine_sharing_round_trips(self, tmp_path):
-        store = ResultStore(tmp_path)
-        fast = SweepPoint.make("speculation", {"app": "em3d", "engine": "fast"})
-        ref = SweepPoint.make(
-            "speculation", {"app": "em3d", "engine": "reference"}
+    def test_accuracy_point_key(self, tmp_path):
+        point = SweepPoint.make(
+            "accuracy",
+            {
+                "app": "em3d",
+                "depth": 1,
+                "iterations": 40,
+                "predictors": ["Cosmos", "MSP", "VMSP"],
+            },
         )
-        store.store(fast, {"cycles": 123})
-        assert store.load(ref) == {"cycles": 123}
-        # The stored entry still records the params that computed it.
-        entry = json.loads(store.path_for(ref).read_text())
-        assert entry["params"]["engine"] == "fast"
+        assert ResultStore(tmp_path).key_for(point) == (
+            "b72f39419bbd554a14e6e4d5b95f8a1c49e0cba217b7e179d227006075af7d18"
+        )
 
-    def test_other_kinds_keep_engine_in_key(self, tmp_path):
+    def test_speculation_point_key(self, tmp_path):
+        point = SweepPoint.make(
+            "speculation", {"app": "em3d", "iterations": 16, "num_procs": 16}
+        )
+        assert ResultStore(tmp_path).key_for(point) == (
+            "0bd8fc2493f3e08d326c171fbc0ad52f9399bf83f4f74f491d1052118ad2d4b3"
+        )
+
+    @pytest.mark.parametrize("kind", ["speculation", "accuracy", "selftest"])
+    def test_engine_is_an_ordinary_param(self, tmp_path, kind):
+        """No parameter is dropped from a key: a leftover ``engine``
+        addresses its own entry, like any parameter no runner reads."""
         store = ResultStore(tmp_path)
-        a = SweepPoint.make("selftest", {"payload": 1, "engine": "fast"})
-        b = SweepPoint.make("selftest", {"payload": 1, "engine": "reference"})
-        assert store.key_for(a) != store.key_for(b)
+        plain = SweepPoint.make(kind, {"app": "em3d"})
+        legacy = SweepPoint.make(kind, {"app": "em3d", "engine": "reference"})
+        assert store.key_for(legacy) != store.key_for(plain)
 
 
 class TestInvalidation:

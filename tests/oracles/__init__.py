@@ -1,0 +1,29 @@
+"""Frozen reference implementations the product code is tested against.
+
+``src/`` holds one implementation per hot path.  The slower, simpler
+implementations they replaced live here, unchanged but for imports and
+class names, as executable oracles:
+
+* :class:`~tests.oracles.machine.ReferenceMachine` — the timing
+  simulator on the heapq event queue, closure-based home directories
+  and processors, closure-delivering interconnect and Message-boxed
+  speculation engine;
+* :func:`~tests.oracles.accuracy.run_predictors_reference` — predictor
+  scoring one message at a time through the per-message predictors.
+
+Tests compare product against oracle (``tests/sim/``,
+``tests/trace/test_vectorized.py``); the golden files in
+``tests/golden/`` pin both to absolute numbers.
+"""
+
+from tests.oracles.accuracy import run_predictors_reference
+from tests.oracles.events import ReferenceEventQueue
+from tests.oracles.interconnect import ReferenceInterconnect
+from tests.oracles.machine import ReferenceMachine
+
+__all__ = [
+    "ReferenceEventQueue",
+    "ReferenceInterconnect",
+    "ReferenceMachine",
+    "run_predictors_reference",
+]

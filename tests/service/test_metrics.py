@@ -131,6 +131,29 @@ class TestScrape:
         run_with_service(tmp_path, scenario)
 
 
+class TestCacheEntryCounts:
+    def test_only_registered_kinds_and_trace_dir_are_counted(self, tmp_path):
+        """A cache directory written by an older build may hold timing
+        traces under ``timetrace/``; they are neither point results nor
+        compiled accuracy traces, on /statz or on /metrics."""
+        stale = tmp_path / "cache" / "timetrace"
+        stale.mkdir(parents=True)
+        (stale / "x.json").write_text("{}", encoding="utf-8")
+
+        async def scenario(service):
+            target = "/v1/point?kind=accuracy&app=em3d&num_procs=4&iterations=2"
+            status, _ = await http_request(service.port, target)
+            assert status == 200
+            _, statz = await http_request(service.port, "/statz")
+            samples = parse_samples(await scrape(service.port))
+            assert statz["runner"]["cache_entries"] == 1
+            assert statz["trace_cache"]["entries"] == 1
+            assert samples["repro_cache_entries"] == 1
+            assert samples["repro_trace_cache_entries"] == 1
+
+        run_with_service(tmp_path, scenario)
+
+
 class TestRenderer:
     def test_escapes_label_values(self):
         text = render_metrics({"latency_ms": {}, "claims": None})

@@ -266,39 +266,6 @@ class TestPointEndpoint:
 
         run_with_service(tmp_path, scenario)
 
-    def test_unknown_engine_param_is_400_with_menu(self, tmp_path):
-        """An invalid engine= query fails fast with the valid engines
-        listed, before any simulation (or cache write) happens."""
-
-        async def scenario(service):
-            status, body = await http_request(
-                service.port,
-                "/v1/point?kind=speculation&app=em3d&engine=bogus",
-            )
-            assert status == 400
-            assert "bogus" in body["error"]
-            for engine in ("fast", "compiled", "reference"):
-                assert engine in body["error"]
-            status, body = await http_request(
-                service.port,
-                "/v1/point?kind=accuracy&app=em3d&engine=bogus",
-            )
-            assert status == 400 and "vectorized" in body["error"]
-            # Sweep grids are validated point-by-point the same way.
-            status, body = await http_request(
-                service.port,
-                "/v1/sweep",
-                method="POST",
-                body={
-                    "kind": "speculation",
-                    "axes": {"app": ["em3d"]},
-                    "base": {"engine": "bogus"},
-                },
-            )
-            assert status == 400 and "bogus" in body["error"]
-            assert not list((tmp_path / "cache").glob("speculation/*.json"))
-
-        run_with_service(tmp_path, scenario)
 
     def test_runner_failure_is_500(self, tmp_path):
         async def scenario(service):

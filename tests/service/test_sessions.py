@@ -15,7 +15,6 @@ import pytest
 
 from repro.common.types import Message, MessageKind
 from repro.eval.cli import main as cli_main
-from repro.eval.accuracy import run_predictors
 from repro.service.client import (
     SessionClientError,
     record_app_trace,
@@ -30,6 +29,7 @@ from repro.service.sessions import (
     parse_ndjson_events,
 )
 
+from tests.oracles import run_predictors_reference
 from tests.service.test_service import http_request, run_with_service
 
 
@@ -208,9 +208,8 @@ class TestSessionsOverHttp:
     ):
         """The tentpole golden test: stream ≡ batch, byte-identical."""
         events = record_app_trace("em3d", **TRACE_KWARGS)
-        reference = run_predictors(
-            "em3d", depth=depth, predictors=(predictor,), engine="reference",
-            **TRACE_KWARGS,
+        reference = run_predictors_reference(
+            "em3d", depth=depth, predictors=(predictor,), **TRACE_KWARGS
         )[predictor]
         expected = json.dumps(
             {

@@ -9,8 +9,8 @@ from repro.network.interconnect import Interconnect
 from repro.sim.address import AddressSpace, home_of
 from repro.sim.caches import CacheState, ProcessorCache, RemoteCache
 from repro.sim.events import EventQueue
-from repro.sim.fastevents import CalendarEventQueue
 from repro.sim.sync import BarrierManager, LockManager
+from tests.oracles import ReferenceEventQueue, ReferenceInterconnect
 
 
 class TestAddressSpace:
@@ -114,7 +114,7 @@ class TestInterconnect:
         events = EventQueue()
         net = Interconnect(SystemConfig(), events)
         seen = []
-        net.send(3, 3, lambda: seen.append(events.now))
+        net.send_call(3, 3, lambda: seen.append(events.now))
         events.run()
         assert seen == [0]
         assert net.messages_sent == 0
@@ -124,7 +124,7 @@ class TestInterconnect:
         config = SystemConfig()
         net = Interconnect(config, events)
         seen = []
-        net.send(0, 1, lambda: seen.append(events.now))
+        net.send_call(0, 1, lambda: seen.append(events.now))
         events.run()
         assert seen == [config.network_cycles + config.ni_cycles]
 
@@ -133,8 +133,8 @@ class TestInterconnect:
         config = SystemConfig()
         net = Interconnect(config, events)
         seen = []
-        net.send(0, 1, lambda: seen.append(events.now))
-        net.send(2, 1, lambda: seen.append(events.now))
+        net.send_call(0, 1, lambda: seen.append(events.now))
+        net.send_call(2, 1, lambda: seen.append(events.now))
         events.run()
         first = config.network_cycles + config.ni_cycles
         assert seen == [first, first + config.ni_cycles]
@@ -144,33 +144,41 @@ class TestInterconnect:
         config = SystemConfig()
         net = Interconnect(config, events)
         seen = []
-        net.send(0, 1, lambda: seen.append(events.now))
-        net.send(0, 2, lambda: seen.append(events.now))
+        net.send_call(0, 1, lambda: seen.append(events.now))
+        net.send_call(0, 2, lambda: seen.append(events.now))
         events.run()
         assert seen[0] == seen[1]
 
-    @pytest.mark.parametrize("make_queue", [EventQueue, CalendarEventQueue])
-    def test_send_call_matches_send_on_both_queues(self, make_queue):
-        """The packed-args delivery path models identical latencies,
-        NI contention, and ordering — whichever queue backs the net."""
+    @pytest.mark.parametrize("path", ["send", "send_call"])
+    def test_send_call_matches_reference_delivery(self, path):
+        """The product delivery path models the reference's latencies,
+        NI contention, and ordering — for both reference paths."""
         config = SystemConfig()
-        closure_events = make_queue()
-        closure_net = Interconnect(config, closure_events)
-        packed_events = make_queue()
-        packed_net = Interconnect(config, packed_events)
-        closure_seen, packed_seen = [], []
+        ref_events = ReferenceEventQueue()
+        ref_net = ReferenceInterconnect(config, ref_events)
+        events = EventQueue()
+        net = Interconnect(config, events)
+        ref_seen, seen = [], []
 
-        closure_net.send(3, 3, lambda: closure_seen.append(("local", closure_events.now)))
-        closure_net.send(0, 1, lambda: closure_seen.append(("a", closure_events.now)))
-        closure_net.send(2, 1, lambda: closure_seen.append(("b", closure_events.now)))
-        packed_net.send_call(3, 3, lambda tag: packed_seen.append((tag, packed_events.now)), "local")
-        packed_net.send_call(0, 1, lambda tag: packed_seen.append((tag, packed_events.now)), "a")
-        packed_net.send_call(2, 1, lambda tag: packed_seen.append((tag, packed_events.now)), "b")
+        def record(tag):
+            ref_seen.append((tag, ref_events.now))
 
-        closure_events.run()
-        packed_events.run()
-        assert packed_seen == closure_seen
-        assert packed_net.messages_sent == closure_net.messages_sent == 2
+        def ref_send(src, dst, tag):
+            if path == "send":
+                ref_net.send(src, dst, lambda: record(tag))
+            else:
+                ref_net.send_call(src, dst, record, tag)
+
+        for src, dst, tag in ((3, 3, "local"), (0, 1, "a"), (2, 1, "b")):
+            ref_send(src, dst, tag)
+            net.send_call(
+                src, dst, lambda tag: seen.append((tag, events.now)), tag
+            )
+
+        ref_events.run()
+        events.run()
+        assert seen == ref_seen
+        assert net.messages_sent == ref_net.messages_sent == 2
 
 
 class TestBarrier:

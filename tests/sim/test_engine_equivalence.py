@@ -1,16 +1,15 @@
-"""Golden equivalence suite: every timing engine vs the reference.
+"""Golden equivalence suite: the timing simulator vs its oracle.
 
-The calendar-queue engine (``Machine(engine="fast")``) and the
-trace-compiling engine (``engine="compiled"``) are allowed to replace
-the heapq reference only because they are provably the same
-simulation.  This suite runs **all 7 applications × all 4 machine
-modes** on every engine at reduced iterations and asserts the entire
-:class:`~repro.sim.machine.RunResult` — cycles, the time breakdown,
-request counters, and every speculation statistic — is bit-identical.
-The compiled engine is exercised on *both* of its paths: the recording
-run (cache miss, live simulation) and the replay (cache hit, batch
-reconstruction from the macro-step trace), plus a repeat-run
-determinism check at a fixed seed.
+The product machine (calendar event queue, closure-free home and
+processor, allocation-free speculation path) replaced the original
+heapq / closure-based simulator only because they are provably the
+same simulation.  That original lives on unchanged as
+:class:`~tests.oracles.machine.ReferenceMachine`.  This suite runs
+**all 7 applications × all 4 machine modes** on both at reduced
+iterations and asserts the entire :class:`~repro.sim.machine.RunResult`
+— cycles, the time breakdown, request counters, and every speculation
+statistic — is bit-identical, and equal to the committed golden
+numbers in ``tests/golden/engine_equivalence.json``.
 
 Timing results feed Figure 9 and Table 5 directly, so any divergence
 here would silently corrupt paper figures; that is why this suite is
@@ -24,8 +23,8 @@ import pytest
 from repro.apps.registry import APP_NAMES, make_app
 from repro.common.config import SystemConfig
 from repro.sim.machine import Machine, MachineMode, RunResult
-from repro.sim.timetrace import reset_timetrace_memo
 from tests.golden import check_golden, run_result_record
+from tests.oracles import ReferenceMachine
 
 #: Small but non-trivial workloads: every app still exercises barriers,
 #: locks (where present), write-invalidation chains, and speculation.
@@ -34,6 +33,9 @@ NUM_PROCS = 16
 SEED = 1999
 
 _WORKLOADS: dict[str, object] = {}
+#: Each (app, mode, machine) runs once per module; the equality and
+#: golden tests below share the results.
+_RESULTS: dict[tuple, RunResult] = {}
 
 
 def workload_for(app: str):
@@ -45,26 +47,32 @@ def workload_for(app: str):
     return _WORKLOADS[app]
 
 
-def run_once(app: str, mode: MachineMode, engine: str) -> RunResult:
-    machine = Machine(
+def run_once(app: str, mode: MachineMode, machine_cls=Machine) -> RunResult:
+    machine = machine_cls(
         workload_for(app),
         config=SystemConfig(num_nodes=NUM_PROCS),
         mode=mode,
-        engine=engine,
     )
     return machine.run()
 
 
-def assert_identical(fast: RunResult, reference: RunResult) -> None:
+def result_for(app: str, mode: MachineMode, machine_cls=Machine) -> RunResult:
+    key = (app, mode, machine_cls)
+    if key not in _RESULTS:
+        _RESULTS[key] = run_once(app, mode, machine_cls)
+    return _RESULTS[key]
+
+
+def assert_identical(product: RunResult, reference: RunResult) -> None:
     """Field-by-field comparison so a failure names the divergent stat."""
-    fast_dict = dataclasses.asdict(fast)
+    product_dict = dataclasses.asdict(product)
     ref_dict = dataclasses.asdict(reference)
     for name, ref_value in ref_dict.items():
-        assert fast_dict[name] == ref_value, (
-            f"RunResult.{name} diverged: fast={fast_dict[name]!r} "
+        assert product_dict[name] == ref_value, (
+            f"RunResult.{name} diverged: product={product_dict[name]!r} "
             f"reference={ref_value!r}"
         )
-    assert fast == reference  # belt and braces: dataclass equality
+    assert product == reference  # belt and braces: dataclass equality
 
 
 @pytest.mark.parametrize("app", APP_NAMES)
@@ -72,48 +80,45 @@ def assert_identical(fast: RunResult, reference: RunResult) -> None:
     "mode", list(MachineMode), ids=[m.value for m in MachineMode]
 )
 class TestEngineEquivalence:
+    """Product vs oracle, and each against the golden numbers: an edit
+    to the oracle alone fails its golden test, not only the equality."""
+
     def test_run_result_bit_identical(self, app, mode):
-        fast = run_once(app, mode, "fast")
-        reference = run_once(app, mode, "reference")
-        assert_identical(fast, reference)
-        check_golden(
-            "engine_equivalence", f"{app}/{mode.value}", run_result_record(fast)
+        assert_identical(
+            result_for(app, mode), result_for(app, mode, ReferenceMachine)
         )
 
-    def test_compiled_record_and_replay_bit_identical(self, app, mode):
-        """Both compiled paths against the reference.
-
-        The first run misses (no memoized trace) and records the live
-        simulation; the second hits the in-process memo and replays the
-        macro-step trace in batch.  Either path producing anything but
-        the reference RunResult corrupts Figure 9 / Table 5 silently.
-        """
-        reset_timetrace_memo()
-        reference = run_once(app, mode, "reference")
-        recorded = run_once(app, mode, "compiled")
-        replayed = run_once(app, mode, "compiled")
-        assert_identical(recorded, reference)
-        assert_identical(replayed, reference)
+    @pytest.mark.parametrize(
+        "machine_cls", [Machine, ReferenceMachine], ids=["product", "reference"]
+    )
+    def test_matches_golden_numbers(self, app, mode, machine_cls):
+        check_golden(
+            "engine_equivalence",
+            f"{app}/{mode.value}",
+            run_result_record(result_for(app, mode, machine_cls)),
+        )
 
 
-@pytest.mark.parametrize("engine", ["fast", "compiled", "reference"])
-def test_repeat_run_determinism(engine):
+@pytest.mark.parametrize(
+    "machine_cls", [Machine, ReferenceMachine], ids=["product", "reference"]
+)
+def test_repeat_run_determinism(machine_cls):
     """The same seed must reproduce the same RunResult, twice over."""
-    first = run_once("em3d", MachineMode.SWI, engine)
-    second = run_once("em3d", MachineMode.SWI, engine)
+    first = run_once("em3d", MachineMode.SWI, machine_cls)
+    second = run_once("em3d", MachineMode.SWI, machine_cls)
     assert_identical(first, second)
 
 
-@pytest.mark.parametrize("engine", ["fast", "compiled"])
-def test_run_speculation_engine_equivalence(engine):
-    """The eval-layer entry point threads the switch through intact."""
-    from repro.eval.performance import run_speculation
+def test_run_speculation_equals_reference_machine():
+    """The eval-layer entry point runs exactly the simulated machine."""
+    from repro.eval.performance import PAPER_MODES, run_speculation
 
-    reset_timetrace_memo()
-    run = run_speculation("tomcatv", iterations=ITERATIONS, engine=engine)
-    reference = run_speculation(
-        "tomcatv", iterations=ITERATIONS, engine="reference"
-    )
-    for mode in (MachineMode.BASE, MachineMode.FR, MachineMode.SWI):
-        assert_identical(run.result(mode), reference.result(mode))
-    assert run.table5_row() == reference.table5_row()
+    run = run_speculation("tomcatv", iterations=ITERATIONS)
+    workload = make_app(
+        "tomcatv", num_procs=NUM_PROCS, iterations=ITERATIONS, seed=SEED
+    ).build()
+    for mode in PAPER_MODES:
+        reference = ReferenceMachine(
+            workload, config=SystemConfig(num_nodes=NUM_PROCS), mode=mode
+        ).run()
+        assert_identical(run.result(mode), reference)

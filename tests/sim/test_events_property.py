@@ -1,16 +1,15 @@
 """Property test: the calendar queue replays any program identically.
 
-Hypothesis generates arbitrary interleavings of the full queue API —
-``schedule`` / ``at`` / ``call`` (with arguments) / ``run(max_events)``
-/ ``run_cycle`` / ``peek_time`` / ``len`` — including same-cycle ties
-and events that schedule more events when they fire.  Each program is
-interpreted simultaneously against the heapq reference
-:class:`~repro.sim.events.EventQueue` and the calendar
-:class:`~repro.sim.fastevents.CalendarEventQueue`; after every
-operation the two must agree on
+Hypothesis generates arbitrary interleavings of scheduling (closures
+and packed ``(handler, args)`` events), ``run(max_events)`` and full
+drains — including same-cycle ties and events that schedule more
+events when they fire.  Each program is interpreted simultaneously
+against the product calendar :class:`~repro.sim.events.EventQueue` and
+the heapq :class:`~tests.oracles.events.ReferenceEventQueue` it
+replaced; after every operation the two must agree on
 
 * the execution log (which event fired, in what order, at what time),
-* every return value (events processed, peeked time, length),
+* every return value (events processed) and the queue length,
 * the clock ``now``.
 
 This is the microscopic half of the equivalence story: the golden
@@ -27,7 +26,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim.events import EventQueue
-from repro.sim.fastevents import CalendarEventQueue, make_event_queue
+from tests.oracles import ReferenceEventQueue
 from tests.strategies import STANDARD_SETTINGS
 
 pytestmark = pytest.mark.property
@@ -38,8 +37,8 @@ pytestmark = pytest.mark.property
 # ----------------------------------------------------------------------
 # An event spec is (delay, style, children): when the event fires it
 # logs itself and schedules its children relative to the firing time.
-# ``style`` picks which scheduling API plants it (closure vs packed
-# args), so both representations are exercised on both queues.
+# ``style`` picks how it is planted: a closure or packed args, and on
+# the reference queue also its relative/absolute closure APIs.
 
 DELAYS = st.integers(min_value=0, max_value=12)
 STYLES = st.sampled_from(["schedule", "at", "call"])
@@ -57,8 +56,6 @@ OPERATIONS = st.lists(
         st.tuples(st.just("plant"), EVENT_SPECS),
         st.tuples(st.just("run"), st.integers(min_value=0, max_value=30)),
         st.tuples(st.just("run_all"), st.just(None)),
-        st.tuples(st.just("run_cycle"), st.just(None)),
-        st.tuples(st.just("peek"), st.just(None)),
     ),
     max_size=30,
 )
@@ -83,12 +80,14 @@ class Interpreter:
             for child in kids:
                 self.plant(child)
 
-        if style == "schedule":
-            queue.schedule(delay, fire)
-        elif style == "at":
-            queue.at(queue.now + delay, fire)
-        else:  # packed-args API
+        if style == "call":  # packed-args API
             queue.call(delay, self._fire_packed, event_id, children)
+        elif isinstance(queue, EventQueue):
+            queue.call(delay, fire)
+        elif style == "schedule":
+            queue.schedule(delay, fire)
+        else:
+            queue.at(queue.now + delay, fire)
 
     def _fire_packed(self, event_id, children) -> None:
         self.log.append((event_id, self.queue.now))
@@ -96,15 +95,14 @@ class Interpreter:
             self.plant(child)
 
     def snapshot(self):
-        return (tuple(self.log), self.queue.now, len(self.queue),
-                self.queue.peek_time())
+        return (tuple(self.log), self.queue.now, len(self.queue))
 
 
 @given(program=OPERATIONS)
 @STANDARD_SETTINGS
 def test_calendar_queue_replays_heapq_reference(program):
-    reference = Interpreter(EventQueue())
-    calendar = Interpreter(CalendarEventQueue())
+    reference = Interpreter(ReferenceEventQueue())
+    calendar = Interpreter(EventQueue())
 
     for op, arg in program:
         for interp in (reference, calendar):
@@ -113,12 +111,8 @@ def test_calendar_queue_replays_heapq_reference(program):
                 interp.plant(arg)
             elif op == "run":
                 interp.last = queue.run(max_events=arg)
-            elif op == "run_all":
-                interp.last = queue.run()
-            elif op == "run_cycle":
-                interp.last = queue.run_cycle()
             else:
-                interp.last = queue.peek_time()
+                interp.last = queue.run()
         assert getattr(reference, "last", None) == getattr(calendar, "last", None)
         assert reference.snapshot() == calendar.snapshot()
 
@@ -130,7 +124,7 @@ def test_calendar_queue_replays_heapq_reference(program):
 @given(program=OPERATIONS)
 @STANDARD_SETTINGS
 def test_zero_budget_is_noop_on_both_queues(program):
-    for factory in (EventQueue, CalendarEventQueue):
+    for factory in (ReferenceEventQueue, EventQueue):
         interp = Interpreter(factory())
         for op, arg in program:
             if op == "plant":
@@ -140,66 +134,23 @@ def test_zero_budget_is_noop_on_both_queues(program):
         assert interp.snapshot() == before
 
 
-def test_make_event_queue_dispatch():
-    assert isinstance(make_event_queue("fast"), CalendarEventQueue)
-    assert isinstance(make_event_queue("reference"), EventQueue)
-    with pytest.raises(ValueError, match="unknown timing engine"):
-        make_event_queue("turbo")
+@given(program=OPERATIONS)
+@STANDARD_SETTINGS
+def test_exceptions_leave_both_queues_consistent(program):
+    """An event that raises mid-drain is consumed on both queues, and
+    the remaining events run afterwards in the same order."""
+    interps = [Interpreter(ReferenceEventQueue()), Interpreter(EventQueue())]
+    for interp in interps:
+        for op, arg in program:
+            if op == "plant":
+                interp.plant(arg)
 
+        def boom():
+            raise RuntimeError("boom")
 
-class TestCalendarQueueEdges:
-    """Deterministic corners that deserve names of their own."""
-
-    def test_negative_delay_and_past_at_rejected(self):
-        queue = CalendarEventQueue()
-        with pytest.raises(ValueError, match="past"):
-            queue.schedule(-1, lambda: None)
-        queue.call(5, lambda: None)
-        queue.run()
-        with pytest.raises(ValueError, match="past"):
-            queue.at(2, lambda: None)
-
-    def test_negative_budget_rejected(self):
-        queue = CalendarEventQueue()
-        with pytest.raises(ValueError, match="max_events"):
-            queue.run(max_events=-1)
-
-    def test_budget_stops_mid_bucket_preserving_fifo(self):
-        queue = CalendarEventQueue()
-        log = []
-        for tag in "abcd":
-            queue.schedule(3, lambda t=tag: log.append(t))
-        assert queue.run(max_events=2) == 2
-        assert log == ["a", "b"]
-        assert len(queue) == 2
-        assert queue.peek_time() == 3
-        assert queue.run() == 2
-        assert log == ["a", "b", "c", "d"]
-
-    def test_same_cycle_events_scheduled_while_draining_run_in_pass(self):
-        queue = CalendarEventQueue()
-        log = []
-
-        def first():
-            log.append("first")
-            queue.schedule(0, lambda: log.append("tail"))
-
-        queue.schedule(7, first)
-        queue.schedule(7, lambda: log.append("second"))
-        assert queue.run_cycle() == 3
-        assert log == ["first", "second", "tail"]
-        assert len(queue) == 0
-
-    def test_exception_mid_bucket_keeps_queue_consistent(self):
-        queue = CalendarEventQueue()
-        log = []
-        queue.schedule(1, lambda: log.append("ok"))
-        queue.schedule(1, lambda: (_ for _ in ()).throw(RuntimeError("boom")))
-        queue.schedule(1, lambda: log.append("after"))
+        interp.queue.call(0, boom)
+        interp.plant((0, "call", ()))
         with pytest.raises(RuntimeError, match="boom"):
-            queue.run()
-        # The raising event was consumed; the remainder is intact.
-        assert log == ["ok"]
-        assert len(queue) == 1
-        assert queue.run() == 1
-        assert log == ["ok", "after"]
+            interp.queue.run()
+        interp.queue.run()
+    assert interps[0].snapshot() == interps[1].snapshot()

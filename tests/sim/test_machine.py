@@ -148,16 +148,14 @@ class TestRunResult:
         with pytest.raises(EventBudgetExhausted, match=r"\[0, 1\].*max_events"):
             machine.run(max_events=1)
 
-    @pytest.mark.parametrize("engine", ["fast", "reference"])
-    def test_budget_exhaustion_per_engine(self, engine):
+    def test_budget_exhaustion_leaves_events_pending(self):
         workload, _ = simple_workload(iterations=10)
-        machine = Machine(workload, config=two_node_config(), engine=engine)
+        machine = Machine(workload, config=two_node_config())
         with pytest.raises(EventBudgetExhausted):
             machine.run(max_events=3)
         assert len(machine.events) > 0  # events really were pending
 
-    @pytest.mark.parametrize("engine", ["fast", "reference"])
-    def test_genuine_deadlock_still_reported_as_stuck(self, engine):
+    def test_genuine_deadlock_still_reported_as_stuck(self):
         """An empty queue with unfinished processors is a deadlock.
 
         P0 takes the lock and never releases it; P1 blocks on the lock
@@ -170,14 +168,9 @@ class TestRunResult:
             builder.lock(0, 0)
             builder.lock(1, 0)
         workload = builder.finish()
-        machine = Machine(workload, config=two_node_config(), engine=engine)
+        machine = Machine(workload, config=two_node_config())
         with pytest.raises(RuntimeError, match="stuck processors.*deadlock"):
             machine.run()
-
-    def test_unknown_engine_rejected(self):
-        workload, _ = simple_workload()
-        with pytest.raises(ValueError, match="unknown timing engine"):
-            Machine(workload, config=two_node_config(), engine="warp")
 
 
 class TestRequestCounters:

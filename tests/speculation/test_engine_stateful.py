@@ -33,6 +33,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.common.types import MessageKind
 from repro.speculation.engine import SpeculationEngine
+from tests.oracles.speculation import ReferenceSpeculationEngine
 from tests.strategies import STANDARD_SETTINGS
 
 pytestmark = pytest.mark.property
@@ -45,15 +46,14 @@ WRITE_KINDS = st.sampled_from([MessageKind.WRITE, MessageKind.UPGRADE])
 
 
 class EngineMachine(RuleBasedStateMachine):
-    fast_path = True
+    engine_cls = SpeculationEngine
 
     def __init__(self) -> None:
         super().__init__()
-        self.engine = SpeculationEngine(
+        self.engine = self.engine_cls(
             home=0,
             swi_enabled=True,
             migratory_enabled=True,
-            fast_path=self.fast_path,
         )
         # The model ledger.
         self.outstanding: dict[tuple[int, int], str] = {}
@@ -199,11 +199,13 @@ class EngineMachine(RuleBasedStateMachine):
 
 
 class FastPathEngineMachine(EngineMachine):
-    fast_path = True
+    engine_cls = SpeculationEngine
 
 
 class ReferencePathEngineMachine(EngineMachine):
-    fast_path = False
+    """The oracle's Message-boxed observe path keeps the same ledger."""
+
+    engine_cls = ReferenceSpeculationEngine
 
 
 FastPathEngineMachine.TestCase.settings = STANDARD_SETTINGS

@@ -1,6 +1,9 @@
 """Compiled-trace caching: addressing, hit/miss accounting, metadata."""
 
+import errno
 import json
+import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -121,6 +124,45 @@ class TestCacheBehavior:
         assert isinstance(point, SweepPoint)
         assert point.kind == trace_cache.TRACE_KIND
         assert point["app"] == "em3d"
+
+
+class TestWriteFaults:
+    """A full or read-only cache degrades to recompiles, never to an
+    error, a wrong trace, or a staging file left behind."""
+
+    KWARGS = dict(num_procs=8, iterations=3)
+
+    def _assert_degrades(self, cache_dir):
+        configure_trace_cache(None)
+        uncached = compile_app_trace("em3d", **self.KWARGS)
+        configure_trace_cache(cache_dir)
+        for _attempt in range(2):  # nothing was stored: both calls miss
+            trace, delta = _counters_delta(
+                lambda: compile_app_trace("em3d", **self.KWARGS)
+            )
+            assert delta == (0, 1)
+            assert trace.content_hash() == uncached.content_hash()
+            for column in ("kinds", "nodes", "blocks", "epochs"):
+                np.testing.assert_array_equal(
+                    getattr(trace, column), getattr(uncached, column)
+                )
+        assert not list(cache_dir.glob("trace/*.tmp"))
+        assert not list(cache_dir.glob("trace/.*.tmp"))
+        assert not list(cache_dir.glob("trace/*.json"))
+
+    def test_replace_enospc(self, cache_dir, monkeypatch):
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(dst))
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        self._assert_degrades(cache_dir)
+
+    def test_mkdir_erofs(self, cache_dir, monkeypatch):
+        def read_only(self, *args, **kwargs):
+            raise OSError(errno.EROFS, os.strerror(errno.EROFS), str(self))
+
+        monkeypatch.setattr(pathlib.Path, "mkdir", read_only)
+        self._assert_degrades(cache_dir)
 
 
 class TestAccuracyPipelineIntegration:

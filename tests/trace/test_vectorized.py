@@ -17,6 +17,7 @@ from repro.protocol.emulator import ProtocolEmulator
 from repro.protocol.epochs import BlockScript, ReadEpoch, WriteEpoch
 from repro.eval.accuracy import run_predictors
 from repro.trace import evaluate_trace, evaluate_trace_reference
+from tests.oracles import run_predictors_reference
 
 PREDICTORS = ("Cosmos", "MSP", "VMSP")
 
@@ -62,14 +63,14 @@ class TestGoldenEquivalenceAllApps:
         assert_equivalent(_app_trace(app_name), predictor, depth=depth)
 
 
-class TestRunPredictorsEngines:
-    """run_predictors('vectorized') ≡ run_predictors('reference')."""
+class TestRunPredictorsOracle:
+    """run_predictors ≡ the per-message oracle run_predictors_reference."""
 
     @pytest.mark.parametrize("app_name", ("em3d", "barnes", "unstructured"))
-    def test_engines_bit_identical(self, app_name):
+    def test_bit_identical_to_reference(self, app_name):
         kwargs = dict(num_procs=8, iterations=4, depth=1)
-        vectorized = run_predictors(app_name, engine="vectorized", **kwargs)
-        reference = run_predictors(app_name, engine="reference", **kwargs)
+        vectorized = run_predictors(app_name, **kwargs)
+        reference = run_predictors_reference(app_name, **kwargs)
         assert vectorized.keys() == reference.keys()
         for name in vectorized:
             vec, ref = vectorized[name], reference[name]
@@ -79,10 +80,6 @@ class TestRunPredictorsEngines:
             assert vec.accuracy == ref.accuracy
             assert vec.coverage == ref.coverage
             assert vec.correct_fraction == ref.correct_fraction
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            run_predictors("em3d", engine="compiled")
 
 
 class TestEdgeCases:
