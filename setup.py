@@ -1,9 +1,8 @@
-"""Legacy setup shim.
+"""Packaging for the reproduction: all project metadata lives here.
 
-The reproduction environment is offline and lacks the ``wheel`` package,
-so PEP 660 editable installs are unavailable; this shim lets
-``pip install -e .`` fall back to ``setup.py develop``.  All project
-metadata lives in pyproject.toml.
+There is no pyproject.toml.  ``pip install -e .`` runs this file through
+the legacy ``setup.py develop`` path, which needs no ``wheel`` package
+(the reproduction environment is offline and lacks it).
 """
 
 from setuptools import find_packages, setup
@@ -16,7 +15,7 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy"],
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "hypothesis"],
+        "test": ["pytest", "hypothesis"],
     },
     entry_points={"console_scripts": ["repro-paper=repro.eval.cli:main"]},
 )

@@ -43,7 +43,6 @@ from repro.harness.runners import (
     PointMetrics,
     execute_point,
     execute_point_instrumented,
-    execute_point_timed,
     get_runner,
     register_runner,
     runner_kinds,
@@ -80,7 +79,6 @@ __all__ = [
     "SweepSpec",
     "execute_point",
     "execute_point_instrumented",
-    "execute_point_timed",
     "get_runner",
     "register_runner",
     "resolve_jobs",

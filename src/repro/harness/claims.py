@@ -17,8 +17,9 @@ The protocol is one **claim file per point** under a claims directory
   **mtime is the heartbeat**: the owner refreshes it while computing;
 * a claim whose mtime is older than the TTL is *stale* — its owner is
   presumed dead, and any worker may **steal** it: the stale file is
-  atomically renamed aside (exactly one stealer wins the rename) and a
-  fresh claim is created with ``O_CREAT | O_EXCL`` again.
+  atomically renamed aside (exactly one stealer wins the rename, and
+  one that finds it moved a live claim puts it back) and a fresh
+  claim is created with ``O_CREAT | O_EXCL`` again.
 
 Because results land in the content-addressed
 :class:`~repro.harness.store.ResultStore` with atomic writes, the worst
@@ -94,6 +95,21 @@ def default_owner() -> str:
     return f"{socket.gethostname()}:{os.getpid()}"
 
 
+def _drop_tomb(tomb: Path, restore: Path | None = None) -> None:
+    """Delete a claim file renamed aside, first linking it back to
+    ``restore`` when given (a no-op if a third worker has re-created
+    the slot meanwhile)."""
+    if restore is not None:
+        try:
+            os.link(tomb, restore)
+        except OSError:
+            pass
+    try:
+        os.unlink(tomb)
+    except OSError:
+        pass
+
+
 class ClaimBoard:
     """The filesystem claim protocol over one claims directory.
 
@@ -159,15 +175,23 @@ class ClaimBoard:
         # Stale: move the corpse aside.  ``os.rename`` of one specific
         # path succeeds for exactly one stealer; everyone else sees
         # FileNotFoundError and backs off.
+        path = self.path_for(key)
         tomb = self.root / f".tomb-{os.getpid()}-{next(_TOMB_COUNTER)}"
         try:
-            os.rename(self.path_for(key), tomb)
+            os.rename(path, tomb)
         except OSError:
             return False
+        # A thief delayed between its read and the rename may have moved
+        # aside the fresh claim a faster thief just created.  The rename
+        # keeps the mtime, so a tomb younger than the TTL is a live
+        # claim: put it back and lose.
         try:
-            os.unlink(tomb)
+            live = time.time() - os.stat(tomb).st_mtime <= self.ttl_s
         except OSError:
-            pass
+            live = False
+        _drop_tomb(tomb, restore=path if live else None)
+        if live:
+            return False
         with self._lock:
             self.stolen += 1
         self._log("stolen", key, {"from": info.owner, "age_s": round(info.age_s, 3)})
@@ -281,22 +305,12 @@ class ClaimBoard:
         except (OSError, ValueError):
             renamed_owner = None  # torn ⇒ freshly created ⇒ not ours
         if renamed_owner != self.owner:
-            try:
-                os.link(tomb, path)  # restore; no-op if a third worker re-claimed
-            except OSError:
-                pass
-            try:
-                os.unlink(tomb)
-            except OSError:
-                pass
+            _drop_tomb(tomb, restore=path)
             with self._lock:
                 self.lost += 1
             self._log("lost", key, {"to": renamed_owner})
             return
-        try:
-            os.unlink(tomb)
-        except OSError:
-            pass
+        _drop_tomb(tomb)
         with self._lock:
             self.released += 1
         self._log("released", key)

@@ -185,13 +185,13 @@ class ParallelRunner:
     * ``jobs``    — worker processes; 0 = all cores, 1 = serial (default),
     * ``store``   — optional :class:`ResultStore` consulted before and
       written after execution,
-    * ``refresh`` — recompute every point and overwrite the cache,
-    * ``chunk_size`` — explicit points per worker task; by default the
-      grid is packed into ~4 waves per worker with straggler-aware
-      greedy packing: each chunk gets an (approximately) equal
-      *predicted duration*, using wall times the store recorded for
-      the same point, the same app, or the same kind (ocean points run
-      ~2x em3d's, so fixed-size chunks serialize the tail).
+    * ``refresh`` — recompute every point and overwrite the cache.
+
+    Worker fan-out packs the grid into ~4 chunks per worker with
+    straggler-aware greedy packing: each chunk gets an (approximately)
+    equal *predicted duration*, using wall times the store recorded for
+    the same point, the same app, or the same kind (ocean points run
+    ~2x em3d's, so fixed-size chunks would serialize the tail).
 
     Batch mode (:meth:`run`) executes a whole grid and blocks.
     Incremental mode (:meth:`submit_point`) executes one point at a time
@@ -205,14 +205,10 @@ class ParallelRunner:
         jobs: int | None = 1,
         store: ResultStore | None = None,
         refresh: bool = False,
-        chunk_size: int | None = None,
-        mp_context: multiprocessing.context.BaseContext | None = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         self.store = store
         self.refresh = refresh
-        self.chunk_size = chunk_size
-        self.mp_context = mp_context
         #: Report of the most recent :meth:`run` (None before any run).
         self.last_report: SweepReport | None = None
         self._incremental: Executor | None = None
@@ -252,13 +248,7 @@ class ParallelRunner:
                 fresh = [self._execute(point) for point in pending]
             for point, (value, metrics) in zip(pending, fresh):
                 results[point] = value
-                if self.store is not None:
-                    self.store.store(
-                        point,
-                        value,
-                        elapsed_s=metrics.elapsed_s,
-                        meta=metrics.trace_meta,
-                    )
+                self._store_quietly(point, value, metrics)
                 report.note_executed(metrics)
 
         self.last_report = report
@@ -267,6 +257,20 @@ class ParallelRunner:
         )
 
     # ------------------------------------------------------------------
+    def _store_quietly(
+        self, point: SweepPoint, value: Any, metrics: PointMetrics
+    ) -> None:
+        """Write a fresh point to the store, if any; a full or
+        read-only cache degrades to recomputes, never to a failed sweep."""
+        if self.store is None:
+            return
+        try:
+            self.store.store(
+                point, value, elapsed_s=metrics.elapsed_s, meta=metrics.trace_meta
+            )
+        except OSError:
+            pass
+
     def _execute(self, point: SweepPoint) -> tuple[Any, PointMetrics]:
         try:
             return execute_point_instrumented(point.kind, point.as_dict())
@@ -278,9 +282,10 @@ class ParallelRunner:
     ) -> list[tuple[Any, PointMetrics]]:
         workers = min(self.jobs, len(pending))
         chunks = self._pack_chunks(pending, workers)
-        context = self.mp_context or _fork_context()
         results: dict[int, tuple[Any, PointMetrics]] = {}
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=_fork_context()
+        ) as pool:
             futures = {
                 pool.submit(
                     _run_chunk,
@@ -310,19 +315,13 @@ class ParallelRunner:
     ) -> list[list[int]]:
         """Split ``pending`` into chunks of ~equal predicted duration.
 
-        Returns lists of indices into ``pending``.  With an explicit
-        ``chunk_size`` the legacy fixed-size slicing is kept; otherwise
-        the grid is greedy-packed (longest-predicted-first into the
-        least-loaded chunk) across ~4 waves per worker.  Packing only
-        changes which worker task runs a point — results are reassembled
-        in grid order either way, so output is deterministic.
+        Returns lists of indices into ``pending``: the grid is
+        greedy-packed (longest-predicted-first into the least-loaded
+        chunk) across ~4 waves per worker.  Packing only changes which
+        worker task runs a point — results are reassembled in grid order
+        either way, so output is deterministic.
         """
         count = len(pending)
-        if self.chunk_size:
-            return [
-                list(range(start, min(start + self.chunk_size, count)))
-                for start in range(0, count, self.chunk_size)
-            ]
         bins = min(count, workers * 4)
         durations = self.predicted_durations(pending)
         order = sorted(range(count), key=lambda i: (-durations[i], i))
@@ -444,16 +443,7 @@ class ParallelRunner:
                 )
                 return
             value, metrics = fut.result()
-            if self.store is not None:
-                try:
-                    self.store.store(
-                        point,
-                        value,
-                        elapsed_s=metrics.elapsed_s,
-                        meta=metrics.trace_meta,
-                    )
-                except OSError:
-                    pass  # a full/readonly cache degrades to recomputes
+            self._store_quietly(point, value, metrics)
             outer.set_result(
                 PointOutcome(
                     value=value,
@@ -473,7 +463,7 @@ class ParallelRunner:
                 if self.jobs > 1:
                     self._incremental = ProcessPoolExecutor(
                         max_workers=self.jobs,
-                        mp_context=self.mp_context or _fork_context(),
+                        mp_context=_fork_context(),
                     )
                 else:
                     self._incremental = ThreadPoolExecutor(

@@ -82,12 +82,6 @@ def execute_point(kind: str, params: Mapping[str, Any]) -> Any:
     return get_runner(kind)(dict(params))
 
 
-def execute_point_timed(kind: str, params: Mapping[str, Any]) -> tuple[Any, float]:
-    """Execute one sweep cell, returning ``(result, wall_seconds)``."""
-    result, metrics = execute_point_instrumented(kind, params)
-    return result, metrics.elapsed_s
-
-
 def execute_point_instrumented(
     kind: str, params: Mapping[str, Any]
 ) -> tuple[Any, PointMetrics]:

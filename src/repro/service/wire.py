@@ -179,12 +179,14 @@ async def read_request(
     if length_text is not None:
         # Consume a declared body on ANY method (a GET may legally carry
         # one); leaving it unread would desynchronize keep-alive framing.
+        # RFC 9110 section 8.6 allows digits only: int() alone takes "+3"
+        # and "1_0", and isdigit() alone takes "²" from the latin-1 decode.
         try:
-            length = int(length_text)
+            if not (length_text.isascii() and length_text.isdigit()):
+                raise ValueError(length_text)
+            length = int(length_text)  # refuses over-long digit strings too
         except ValueError:
             raise WireError(400, f"bad Content-Length: {length_text!r}") from None
-        if length < 0:
-            raise WireError(400, f"bad Content-Length: {length_text!r}")
         if length > max_body:
             raise WireError(413, f"request body exceeds {max_body} bytes")
         try:
@@ -192,7 +194,10 @@ async def read_request(
         except asyncio.IncompleteReadError:
             raise WireError(400, "connection closed mid-body") from None
 
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError:  # e.g. an unclosed "[" IPv6 host: "//["
+        raise WireError(400, f"malformed request target: {target!r}") from None
     query = {
         name: value for name, value in parse_qsl(split.query, keep_blank_values=True)
     }

@@ -12,7 +12,11 @@ results against it, so checking costs no extra simulation.
   app × machine mode run of ``tests/sim/test_engine_equivalence.py``
   (16 nodes, 2 iterations, seed 1999);
 * ``paper_results.json`` — the accuracy and speculation numbers of the
-  module fixtures of ``tests/integration/test_paper_results.py``.
+  module fixtures of ``tests/integration/test_paper_results.py``;
+* ``paper.json`` — the rows ``run_experiment`` returns for every paper
+  experiment at paper size, one entry per name in
+  ``PAPER_EXPERIMENTS``, regenerated once by
+  ``tests/integration/test_paper_golden.py``.
 
 A deliberate model change regenerates them: run the owning test module
 with ``REPRO_UPDATE_GOLDEN=1`` set, then review the JSON diff.

@@ -182,10 +182,12 @@ class TestClaimRaces:
     def test_threaded_steal_race_single_thief(self, tmp_path):
         """Many threads racing to steal one stale claim: the rename
         tombstone admits exactly one."""
-        # ttl must be generous: with a short one, a loaded machine can
-        # delay a losing thief's stat past the TTL, making the freshly
-        # stolen claim itself look stale (a second legitimate steal, and
-        # a flaky assertion).  The 60s backdate keeps the original stale.
+        # The 60s backdate makes the original claim stale under the 30s
+        # TTL, and the winner's fresh claim stays live for the whole
+        # race.  A thief delayed between its staleness read and its
+        # rename finds that fresh claim and puts it back (see
+        # test_late_thief_puts_back_the_fresh_claim), so exactly one
+        # thread wins however the threads are scheduled.
         dead = ClaimBoard(tmp_path, owner="dead", ttl_s=30.0)
         assert dead.acquire("k1")
         backdate(dead, "k1", seconds=60.0)
@@ -205,6 +207,31 @@ class TestClaimRaces:
         for thread in threads:
             thread.join(timeout=30)
         assert sum(wins) == 1
+
+    def test_late_thief_puts_back_the_fresh_claim(self, tmp_path, monkeypatch):
+        """A thief delayed between its staleness read and its rename
+        must not move aside the fresh claim a faster thief created in
+        between: it puts that claim back and loses."""
+        dead = ClaimBoard(tmp_path, owner="dead", ttl_s=30.0)
+        assert dead.acquire("k1")
+        backdate(dead, "k1", seconds=60.0)
+        slow = ClaimBoard(tmp_path, owner="slow", ttl_s=30.0)
+        fast = ClaimBoard(tmp_path, owner="fast", ttl_s=30.0)
+        real_read = slow.read
+        fast_wins = []
+
+        def read_then_stall(key):
+            info = real_read(key)  # the stale claim of "dead"
+            fast_wins.append(fast.acquire(key))
+            return info
+
+        monkeypatch.setattr(slow, "read", read_then_stall)
+        assert not slow.acquire("k1")
+        assert fast_wins == [True]
+        assert json.loads(fast.path_for("k1").read_text())["owner"] == "fast"
+        assert fast.holds("k1") and not slow.holds("k1")
+        assert fast.stats()["stolen"] + slow.stats()["stolen"] == 1
+        assert not list(tmp_path.glob(".tomb-*"))
 
 
 class TestClaimedRunner:

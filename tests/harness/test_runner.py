@@ -1,5 +1,9 @@
 """Tests for sweep execution: serial, parallel, cached, and failing."""
 
+import errno
+import os
+import pathlib
+
 import pytest
 
 from repro.harness import (
@@ -27,9 +31,7 @@ class TestSerialParallelEquivalence:
         assert serial.points == parallel.points
 
     def test_parallel_executes_in_worker_processes(self):
-        import os
-
-        result = ParallelRunner(jobs=3, chunk_size=1).run(ECHO_SPEC)
+        result = ParallelRunner(jobs=3).run(ECHO_SPEC)
         assert os.getpid() not in {value["pid"] for value in result.values}
 
     def test_accuracy_kind_bit_identical(self):
@@ -76,6 +78,30 @@ class TestCaching:
         assert result.report.cached == 2
         assert result.report.executed == 3
         assert echoes(result) == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize(
+        "target, name, code",
+        [(os, "replace", errno.ENOSPC), (pathlib.Path, "mkdir", errno.EROFS)],
+        ids=["replace-ENOSPC", "mkdir-EROFS"],
+    )
+    def test_full_or_read_only_cache_keeps_computed_values(
+        self, tmp_path, monkeypatch, target, name, code
+    ):
+        """A store write that fails degrades to a recompute next time,
+        never to a failed sweep or a staging file left behind."""
+        points = ECHO_SPEC.points()[:2]
+        uncached = ParallelRunner().run(points)
+
+        def fail(*args, **kwargs):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(target, name, fail)
+        store = ResultStore(tmp_path)
+        result = ParallelRunner(store=store).run(points)
+        assert result.values == uncached.values
+        assert result.report.executed == 2
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert len(store) == 0
 
 
 class TestFailures:
@@ -178,8 +204,6 @@ class TestIncrementalSubmission:
                 future.result(timeout=30)
 
     def test_parallel_jobs_submit_runs_in_worker_process(self, tmp_path):
-        import os
-
         with ParallelRunner(jobs=2, store=ResultStore(tmp_path)) as runner:
             point = SweepPoint.make("selftest", {"payload": 11})
             outcome = runner.submit_point(point).result(timeout=60)
@@ -245,8 +269,6 @@ class TestJobs:
 
     def test_single_point_falls_back_to_serial(self):
         result = ParallelRunner(jobs=8).run(ECHO_SPEC.points()[:1])
-        import os
-
         assert result.values[0]["pid"] == os.getpid()
 
 
@@ -266,11 +288,6 @@ class TestStragglerPacking:
         chunks = runner._pack_chunks(points, workers=2)
         assert sorted(i for chunk in chunks for i in chunk) == list(range(5))
         assert max(len(c) for c in chunks) <= 1 + min(len(c) for c in chunks)
-
-    def test_explicit_chunk_size_keeps_fixed_slices(self):
-        runner = ParallelRunner(jobs=2, chunk_size=2)
-        chunks = runner._pack_chunks(ECHO_SPEC.points(), workers=2)
-        assert chunks == [[0, 1], [2, 3], [4]]
 
     def test_app_level_means_drive_packing(self, tmp_path):
         """An app recorded as slow is spread across chunks first."""

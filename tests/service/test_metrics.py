@@ -57,6 +57,8 @@ class TestScrape:
             assert samples['repro_point_requests_total{outcome="compute"}'] == 1
             assert samples['repro_point_requests_total{outcome="hit"}'] == 2
             assert samples["repro_cache_entries"] == statz["runner"]["cache_entries"] == 1
+            # both hits come from the hot tier, not the disk store
+            assert statz["hot_tier"]["hits"] == 2
             assert (
                 samples['repro_hot_tier_requests_total{result="hit"}']
                 == statz["hot_tier"]["hits"]

@@ -87,6 +87,11 @@ class TestRequestParsing:
             (b"POST /v1/sweep HTTP/1.1\r\n\r\n", 411),  # missing length
             (b"POST / HTTP/1.1\r\nContent-Length: pony\r\n\r\n", 400),
             (b"POST / HTTP/1.1\r\nContent-Length: -3\r\n\r\n", 400),
+            # RFC 9110 lengths are digits only; int() takes all three
+            (b"POST / HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc", 400),
+            (b"POST / HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n" + b"x" * 10, 400),
+            (b"POST / HTTP/1.1\r\nContent-Length: \xb2\r\n\r\nab", 400),
+            (b"GET //[ HTTP/1.1\r\n\r\n", 400),  # urlsplit: invalid IPv6 URL
             (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", 501),
             (b"GET / HTTP/1.1\r\nH: " + b"x" * 9000 + b"\r\n\r\n", 431),
         ],

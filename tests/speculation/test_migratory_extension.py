@@ -102,6 +102,7 @@ class TestMigratoryOnPaperApps:
         mig = Machine(workload, mode=MachineMode.MIG).run()
         assert mig.speculation.migratory_grants > 0
         assert mig.write_requests <= swi.write_requests
+        assert mig.cycles <= 1.05 * swi.cycles
 
     def test_stencil_app_is_unharmed(self):
         from repro.apps import make_app

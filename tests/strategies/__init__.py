@@ -18,12 +18,14 @@ from tests.strategies.settings import (
 )
 from tests.strategies.sim import block_ids, node_ids, rng_labels, seeds
 from tests.strategies.sweeps import sweep_param_dicts, sweep_points
+from tests.strategies.wire import http_requests
 
 __all__ = [
     "DETERMINISM_SETTINGS",
     "QUICK_SETTINGS",
     "STANDARD_SETTINGS",
     "block_ids",
+    "http_requests",
     "node_ids",
     "rng_labels",
     "seeds",
