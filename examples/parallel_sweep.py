@@ -33,7 +33,8 @@ def build_spec() -> SweepSpec:
 
 def run_once(label: str, runner: ParallelRunner):
     started = time.perf_counter()
-    result = runner.run(build_spec())
+    with runner:
+        result = runner.run(build_spec())
     elapsed = time.perf_counter() - started
     report = result.report
     print(

@@ -9,11 +9,13 @@ Usage::
     repro-paper --list             # list experiment ids
     repro-paper scaling32          # paper-beyond studies run when named
 
-Grid-shaped experiments execute through the parallel harness: ``--jobs``
-fans sweep points out over worker processes and every computed point is
-cached under ``--cache-dir`` (default ``.repro-cache``, override with
-``REPRO_CACHE_DIR``), so re-running a figure only recomputes what
-changed.  ``--no-cache`` disables the store, ``--refresh`` overwrites it.
+Grid-shaped experiments execute through the parallel harness: every
+cache miss runs on the runner's pool (one background thread, or
+``--jobs`` worker processes kept for the whole invocation) and every
+computed point is cached under ``--cache-dir`` (default
+``.repro-cache``, override with ``REPRO_CACHE_DIR``), so re-running a
+figure only recomputes what changed.  ``--no-cache`` disables the
+store, ``--refresh`` overwrites it.
 
 The ``sweep`` subcommand runs arbitrary user-defined grids beyond the
 paper's own, printing one JSON object per point::
@@ -28,9 +30,11 @@ has exactly one implementation (docs/performance.md).
 Several workers — processes or hosts — can divide one grid between
 them: point each at the same ``--cache-dir`` plus a shared
 ``--claim-dir`` (canonically ``<cache-dir>/claims``) and every point
-is claimed before it is computed, so the grid is computed exactly once
-across the fleet (``--worker-id`` names each worker; stale claims of
-crashed workers are stolen after ``--claim-ttl``).  ``sweep --follow``
+is claimed before it is computed — by a worker with a free compute
+slot, so each holds at most ``--jobs`` claims — and the grid is
+computed exactly once across the fleet (``--worker-id`` names each
+worker; stale claims of crashed workers are stolen after
+``--claim-ttl``).  ``sweep --follow``
 tails a grid other workers are computing without computing anything
 itself.  See docs/harness.md.
 
@@ -173,13 +177,13 @@ def _make_runner(
     # Compiled traces share the point cache's directory (under trace/);
     # forked sweep workers inherit the configuration.
     configure_trace_cache(None if args.no_cache else cache_dir)
-    runner = ParallelRunner(jobs=args.jobs, store=store, refresh=args.refresh)
     if args.claim_dir is None:
-        return runner
+        return ParallelRunner(jobs=args.jobs, store=store, refresh=args.refresh)
     _validate_claim_options(args, parser)
     return ClaimedRunner(
-        runner,
         ClaimBoard(args.claim_dir, owner=args.worker_id, ttl_s=args.claim_ttl),
+        jobs=args.jobs,
+        store=store,
     )
 
 

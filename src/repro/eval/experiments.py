@@ -55,7 +55,10 @@ def _scale(iterations: dict[str, int], fast: bool) -> dict[str, int]:
 
 
 def _run(spec: SweepSpec, runner: ParallelRunner | None) -> SweepResult:
-    return (runner or ParallelRunner()).run(spec)
+    if runner is not None:
+        return runner.run(spec)
+    with ParallelRunner() as temporary:
+        return temporary.run(spec)
 
 
 def accuracy_spec(fast: bool = False, depths: tuple[int, ...] = (1,)) -> SweepSpec:

@@ -1,8 +1,9 @@
 """Parallel experiment harness: declarative sweeps, workers, caching.
 
 Declare an experiment as a :class:`SweepSpec` grid, execute it with a
-:class:`ParallelRunner` (serial or over worker processes), and let a
-:class:`ResultStore` reuse every point already computed::
+:class:`ParallelRunner` (its pool is one background thread, or worker
+processes), and let a :class:`ResultStore` reuse every point already
+computed::
 
     from repro.harness import ParallelRunner, ResultStore, SweepSpec
 
@@ -11,13 +12,15 @@ Declare an experiment as a :class:`SweepSpec` grid, execute it with a
         axes={"app": ("em3d", "moldyn"), "depth": (1, 2, 4)},
         base={"iterations": 8},
     )
-    runner = ParallelRunner(jobs=4, store=ResultStore(".repro-cache"))
-    result = runner.run(spec)
+    with ParallelRunner(jobs=4, store=ResultStore(".repro-cache")) as runner:
+        result = runner.run(spec)
     best = result.value(app="em3d", depth=4)["runs"]["VMSP"]["accuracy"]
 
 Every point is bit-deterministic (all randomness is seeded through
 ``DeterministicRng``), so serial, parallel, and cached executions are
-interchangeable.  See ``docs/harness.md``.
+interchangeable.  A :class:`ClaimedRunner` is a ``ParallelRunner`` that
+divides a grid with other workers sharing the cache.  See
+``docs/harness.md``.
 """
 
 from repro.harness.claims import (

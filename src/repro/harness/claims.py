@@ -1,11 +1,10 @@
 """Cross-machine work claims: divide one grid among processes and hosts.
 
-PRs 1–4 made a single host fast; this module makes *several* hosts (or
-several processes on one host) share the compute of a grid the way they
-already share its results.  The only coordination substrate is the
-shared cache directory's filesystem — no broker, no sockets — which is
-exactly what multiple ``repro serve`` replicas and CLI workers already
-have in common.
+This module makes *several* hosts (or several processes on one host)
+share the compute of a grid the way they already share its results.
+The only coordination substrate is the shared cache directory's
+filesystem — no broker, no sockets — which is exactly what multiple
+``repro serve`` replicas and CLI workers already have in common.
 
 The protocol is one **claim file per point** under a claims directory
 (canonically ``<cache-dir>/claims/``):
@@ -16,10 +15,11 @@ The protocol is one **claim file per point** under a claims directory
 * the file carries the owner's identity (worker id, pid, host) and its
   **mtime is the heartbeat**: the owner refreshes it while computing;
 * a claim whose mtime is older than the TTL is *stale* — its owner is
-  presumed dead, and any worker may **steal** it: the stale file is
-  atomically renamed aside (exactly one stealer wins the rename, and
-  one that finds it moved a live claim puts it back) and a fresh
-  claim is created with ``O_CREAT | O_EXCL`` again.
+  presumed dead, and any worker may **steal** it: thieves take an
+  exclusive ``flock`` on ``.steal.lock`` in the claims directory, read
+  the claim again under it, atomically rename the stale file aside
+  (one that finds it moved a live claim puts it back) and create a
+  fresh claim with ``O_CREAT | O_EXCL`` again.
 
 Because results land in the content-addressed
 :class:`~repro.harness.store.ResultStore` with atomic writes, the worst
@@ -27,11 +27,11 @@ case of a *mis-tuned* TTL (a live-but-slow worker losing its claim) is
 a duplicated computation, never a wrong or torn result — every worker
 computes the same bits.
 
-:class:`ClaimedRunner` wraps a :class:`~repro.harness.runner.ParallelRunner`
-with this protocol: each worker claims a point before computing it,
-skips points already cached or claimed elsewhere, and re-polls
-released/stale claims until the grid is complete.  N workers pointed at
-one shared cache dir therefore divide a grid between them, each point
+:class:`ClaimedRunner` is a :class:`~repro.harness.runner.ParallelRunner`
+that claims each miss before computing it, and only while one of its
+``jobs`` compute slots is free; points claimed elsewhere resolve when
+their result lands in the shared store.  N workers pointed at one
+shared cache dir therefore divide a grid between them, each point
 computed exactly once (see the ``distributed-smoke`` CI lane).
 
 Every claim transition is appended to ``events.log`` in the claims
@@ -41,6 +41,9 @@ tests and CI audit exactly-once execution per worker.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
+import functools
 import itertools
 import json
 import os
@@ -48,9 +51,8 @@ import socket
 import threading
 import time
 from collections import deque
-from collections.abc import Sequence
-from concurrent.futures import FIRST_COMPLETED, Future
-from concurrent.futures import wait as wait_futures
+from collections.abc import Iterator
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -59,12 +61,10 @@ from repro.harness.runner import (
     ParallelRunner,
     PointOutcome,
     SweepError,
-    SweepReport,
-    SweepResult,
+    _resolved,
 )
-from repro.harness.runners import PointMetrics
-from repro.harness.spec import SweepPoint, SweepSpec
-from repro.harness.store import MISS
+from repro.harness.spec import SweepPoint
+from repro.harness.store import ResultStore
 
 #: Default seconds of heartbeat silence before a claim may be stolen.
 #: Owners refresh their claims every TTL/4, so a live worker keeps a
@@ -74,6 +74,9 @@ DEFAULT_CLAIM_TTL_S = 120.0
 
 #: Name of the append-only claim-transition log inside the claims dir.
 EVENTS_LOG = "events.log"
+
+#: Lock file inside the claims dir that serializes thieves.
+STEAL_LOCK = ".steal.lock"
 
 _TOMB_COUNTER = itertools.count(1)
 
@@ -114,7 +117,8 @@ class ClaimBoard:
     """The filesystem claim protocol over one claims directory.
 
     Thread-safe: a :class:`ClaimedRunner` touches the board from its
-    caller, its heartbeat thread, and its waiter thread concurrently.
+    callers, its pool's completion callbacks and its dispatcher thread
+    concurrently.
     Counters (``claimed``/``stolen``/``released``/``lost``/``computed``)
     feed the service's ``/statz`` claims section.
     """
@@ -172,32 +176,66 @@ class ClaimBoard:
             return self._create(key)
         if info.age_s <= self.ttl_s:
             return False
-        # Stale: move the corpse aside.  ``os.rename`` of one specific
-        # path succeeds for exactly one stealer; everyone else sees
-        # FileNotFoundError and backs off.
-        path = self.path_for(key)
-        tomb = self.root / f".tomb-{os.getpid()}-{next(_TOMB_COUNTER)}"
+        # Stale.  Thieves take the steal lock and read the claim again
+        # under it, so one delayed since the read above cannot move
+        # aside the fresh claim a faster thief has just created.
+        with self._steal_lock():
+            info = self.read(key)
+            if info is None:
+                return self._create(key)
+            if info.age_s <= self.ttl_s:
+                return False
+            # ``os.rename`` of one specific path succeeds for exactly one
+            # stealer; everyone else sees FileNotFoundError and backs off.
+            path = self.path_for(key)
+            tomb = self.root / f".tomb-{os.getpid()}-{next(_TOMB_COUNTER)}"
+            try:
+                os.rename(path, tomb)
+            except OSError:
+                return False
+            # The owner's heartbeat may have refreshed the claim since
+            # the read (or, without the lock, a faster thief may have
+            # created a fresh one).  The rename keeps the mtime, so a
+            # tomb younger than the TTL is a live claim: put it back
+            # and lose.
+            try:
+                live = time.time() - os.stat(tomb).st_mtime <= self.ttl_s
+            except OSError:
+                live = False
+            _drop_tomb(tomb, restore=path if live else None)
+            if live:
+                return False
+            with self._lock:
+                self.stolen += 1
+            self._log(
+                "stolen", key, {"from": info.owner, "age_s": round(info.age_s, 3)}
+            )
+            # The slot is open again but not ours yet — a worker creating
+            # a fresh claim may have re-created it between our rename and
+            # this create.
+            return self._create(key)
+
+    @contextlib.contextmanager
+    def _steal_lock(self) -> Iterator[None]:
+        """Hold an exclusive ``flock`` on the claims dir's steal lock.
+
+        The kernel drops the lock if its holder dies.  Where the lock
+        file cannot be opened or locked, thieves steal unserialized and
+        the put-back in :meth:`acquire` is their only guard.
+        """
         try:
-            os.rename(path, tomb)
+            fd = os.open(self.root / STEAL_LOCK, os.O_RDWR | os.O_CREAT, 0o644)
         except OSError:
-            return False
-        # A thief delayed between its read and the rename may have moved
-        # aside the fresh claim a faster thief just created.  The rename
-        # keeps the mtime, so a tomb younger than the TTL is a live
-        # claim: put it back and lose.
+            yield
+            return
         try:
-            live = time.time() - os.stat(tomb).st_mtime <= self.ttl_s
-        except OSError:
-            live = False
-        _drop_tomb(tomb, restore=path if live else None)
-        if live:
-            return False
-        with self._lock:
-            self.stolen += 1
-        self._log("stolen", key, {"from": info.owner, "age_s": round(info.age_s, 3)})
-        # The slot is open again but not ours yet — a third worker may
-        # have re-created it between our rename and this create.
-        return self._create(key)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+            except OSError:
+                pass
+            yield
+        finally:
+            os.close(fd)  # releases the lock
 
     def _create(self, key: str) -> bool:
         path = self.path_for(key)
@@ -403,85 +441,64 @@ class ClaimBoard:
         return f"ClaimBoard(root={str(self.root)!r}, owner={self.owner!r})"
 
 
-class ClaimedRunner:
+class ClaimedRunner(ParallelRunner):
     """A :class:`ParallelRunner` that divides grids with other workers.
 
-    Wraps an inner runner (whose :class:`ResultStore` must be the shared
-    cache) and a :class:`ClaimBoard` (canonically over
-    ``<cache-dir>/claims/``).  The interface mirrors the inner runner —
-    ``run``, ``submit_point``, ``cached_outcome``, ``close``,
-    ``last_report``, ``predicted_durations`` — so the CLI, the
-    experiment drivers, and the HTTP service use either interchangeably.
+    ``store`` is required — it is the cache the workers share — and
+    ``claims`` is canonically over ``<cache-dir>/claims/``.  Only
+    :meth:`submit_point` differs from the parent class, so :meth:`run`,
+    the CLI, the experiment functions and the HTTP service all go through
+    the claim protocol.
 
-    * **Batch** (:meth:`run`): a work-stealing pump — claim up to
-      ``jobs`` uncached points, compute them on the inner runner's
-      incremental pool, release each claim as its result lands, and
-      re-poll points claimed elsewhere until the grid is complete
-      (taking over stale claims along the way).
-    * **Incremental** (:meth:`submit_point`): claim-or-wait — a claimed
-      miss computes locally; a point claimed elsewhere resolves when its
-      result appears in the store (or its claim goes stale and this
-      worker steals the computation).
+    A worker claims a point only while one of its ``jobs`` compute
+    slots is free: :meth:`submit_point` claims a miss on the calling
+    thread when a slot is free and queues it otherwise, so a peer can
+    take the queued points meanwhile.  One daemon dispatcher thread
+    refreshes held claims every TTL/4 (so only a *dead* worker's claims
+    ever go stale) and, each cycle,
 
-    A daemon heartbeat thread refreshes held claims every TTL/4, so only
-    a *dead* worker's claims ever go stale.  ``refresh`` mode is
-    rejected: recompute-everything contradicts compute-each-point-once.
+    * makes one ``stat`` per point claimed elsewhere until that point's
+      result lands in the store,
+    * retries those claims at TTL-scale cadence while a slot is free
+      (their owner released them without a result, or died), and
+    * moves queued points onto freed slots.
+
+    A claimed point is re-checked against the store under the claim,
+    then computed on the runner's pool.
     """
 
     def __init__(
         self,
-        runner: ParallelRunner,
         claims: ClaimBoard,
+        jobs: int | None = 1,
+        store: ResultStore | None = None,
         poll_interval_s: float = 0.25,
     ) -> None:
-        if runner.store is None:
+        if store is None:
             raise ValueError(
                 "claim coordination needs a shared ResultStore: claims divide "
                 "the compute, the store shares the results"
             )
-        if runner.refresh:
-            raise ValueError(
-                "claims cannot be combined with refresh: every worker would "
-                "recompute every point, defeating exactly-once division"
-            )
-        self.runner = runner
+        super().__init__(jobs=jobs, store=store)
         self.claims = claims
         self.poll_interval_s = poll_interval_s
-        #: Report of the most recent :meth:`run` (None before any run).
-        self.last_report: SweepReport | None = None
-        self._lock = threading.Lock()
-        self._wake = threading.Condition(self._lock)
+        # Claim retries matter only for steal-after-TTL and
+        # released-after-failure, so TTL-scale cadence capped at 2 s
+        # keeps shared-mount traffic bounded; result polls are one stat.
+        self._retry_s = min(2.0, max(poll_interval_s, claims.ttl_s / 8.0))
+        self._wake = threading.Condition()
         self._closed = False
-        self._hb_thread: threading.Thread | None = None
-        self._hb_stop = threading.Event()
-        #: key -> (point, futures awaiting a point claimed elsewhere)
-        self._waiting: dict[str, tuple[SweepPoint, list[Future]]] = {}
-        self._waiter_thread: threading.Thread | None = None
-
-    # ------------------------------------------------------------------
-    # delegation: look like a ParallelRunner to callers
-    # ------------------------------------------------------------------
-    @property
-    def store(self):
-        return self.runner.store
-
-    @property
-    def jobs(self) -> int:
-        return self.runner.jobs
-
-    @property
-    def refresh(self) -> bool:
-        return self.runner.refresh
-
-    @property
-    def incremental_started(self) -> bool:
-        return self.runner.incremental_started
-
-    def predicted_durations(self, points: list[SweepPoint]) -> list[float]:
-        return self.runner.predicted_durations(points)
-
-    def cached_outcome(self, point: SweepPoint) -> PointOutcome | None:
-        return self.runner.cached_outcome(point)
+        self._free = self.jobs
+        #: key -> the point and every future awaiting it
+        self._pending: dict[str, tuple[SweepPoint, list[Future]]] = {}
+        #: keys waiting for a free slot, unclaimed, oldest first
+        self._queued: deque[str] = deque()
+        #: keys claimed elsewhere -> when to retry the claim
+        self._blocked: dict[str, float] = {}
+        self._dispatcher = threading.Thread(
+            target=self._dispatch, name="repro-claim-dispatcher", daemon=True
+        )
+        self._dispatcher.start()
 
     def claim_key(self, point: SweepPoint) -> str:
         """The claim file name for ``point``: its *store* key.
@@ -489,336 +506,182 @@ class ClaimedRunner:
         The store key includes the fingerprint, so workers running
         different code versions never contend for each other's points.
         """
-        return self.runner.store.key_for(point)
+        return self.store.key_for(point)
 
-    # ------------------------------------------------------------------
-    # batch execution: the work-stealing pump
-    # ------------------------------------------------------------------
-    def run(self, sweep: SweepSpec | Sequence[SweepPoint]) -> SweepResult:
-        """Execute a grid cooperatively; blocks until *every* point of
-        the grid has a result, whoever computed it."""
-        points = list(sweep.points() if isinstance(sweep, SweepSpec) else sweep)
-        report = SweepReport(jobs=self.runner.jobs)
-        unique: list[SweepPoint] = []
-        seen: set[SweepPoint] = set()
-        for point in points:
-            if point not in seen:
-                seen.add(point)
-                unique.append(point)
-
-        store = self.runner.store
-        results: dict[SweepPoint, Any] = {}
-        todo: deque[SweepPoint] = deque(unique)
-        in_flight: dict[Future, tuple[SweepPoint, str]] = {}
-        deferred: list[SweepPoint] = []
-        #: Points whose acquire failed (claimed by another worker).
-        #: Their re-polls are throttled: one ``stat`` per cycle until
-        #: the peer's result appears, claim retries only every
-        #: ``_acquire_interval`` — a worker waiting on a mostly-foreign
-        #: 1000-point grid must not hammer the shared mount with a full
-        #: open+read+acquire round per point per quarter second.
-        blocked: set[SweepPoint] = set()
-        retry_interval = self._acquire_interval()
-        next_acquire_at = 0.0  # first pass always attempts claims
-        failure: SweepError | None = None
-
-        while todo or in_flight or deferred:
-            progressed = False
-            now = time.monotonic()
-            try_acquire = now >= next_acquire_at
-            if try_acquire:
-                next_acquire_at = now + retry_interval
-            while failure is None and todo and len(in_flight) < self.runner.jobs:
-                point = todo.popleft()
-                if point in blocked:
-                    if store.path_for(point).exists():
-                        entry = store.load_entry(point)
-                        if entry is not MISS:
-                            blocked.discard(point)
-                            results[point] = entry.result
-                            report.note_cached(entry.elapsed_s, hot=entry.hot)
-                            progressed = True
-                            continue
-                    if not try_acquire:
-                        deferred.append(point)
-                        continue
-                else:
-                    entry = store.load_entry(point)
-                    if entry is not MISS:
-                        results[point] = entry.result
-                        report.note_cached(entry.elapsed_s, hot=entry.hot)
-                        progressed = True
-                        continue
-                key = self.claim_key(point)
-                if not self.claims.acquire(key):
-                    blocked.add(point)
-                    deferred.append(point)
-                    continue
-                blocked.discard(point)
-                # Re-check under the claim: another worker may have
-                # finished this point between our miss and our acquire.
-                entry = store.load_entry(point)
-                if entry is not MISS:
-                    self.claims.release(key)
-                    results[point] = entry.result
-                    report.note_cached(entry.elapsed_s, hot=entry.hot)
-                    progressed = True
-                    continue
-                self._ensure_heartbeat()
-                in_flight[self.runner.submit_point(point)] = (point, key)
-                progressed = True
-
-            if in_flight:
-                done, _ = wait_futures(
-                    list(in_flight),
-                    timeout=self.poll_interval_s,
-                    return_when=FIRST_COMPLETED,
-                )
-                for future in done:
-                    point, key = in_flight.pop(future)
-                    try:
-                        outcome = future.result()
-                    except Exception as exc:
-                        self.claims.release(key)
-                        if failure is None:
-                            failure = (
-                                exc
-                                if isinstance(exc, SweepError)
-                                else SweepError(
-                                    f"sweep point failed: {point!r} ({exc})"
-                                )
-                            )
-                        continue
-                    # submit_point stored the result before resolving,
-                    # so the release never exposes a result-less point.
-                    if not outcome.cached:
-                        self.claims.note_computed(key)
-                    self.claims.release(key)
-                    results[point] = outcome.value
-                    self._note_outcome(report, outcome)
-                    progressed = True
-
-            if failure is not None:
-                if in_flight:
-                    continue  # drain our own computations, then raise
-                raise failure
-
-            if deferred and not progressed and not in_flight:
-                # everything left is claimed by other live workers;
-                # wait for their results (or their claims to go stale).
-                time.sleep(self.poll_interval_s)
-            todo.extend(deferred)
-            deferred.clear()
-
-        self.last_report = report
-        return SweepResult(
-            points=points, values=[results[p] for p in points], report=report
-        )
-
-    def _acquire_interval(self) -> float:
-        """How often to retry claims held by other workers.
-
-        Result polls stay at ``poll_interval_s`` (they are one ``stat``
-        each); claim retries matter only for steal-after-TTL and
-        released-after-failure, so TTL-scale cadence capped at 2 s is
-        plenty and keeps shared-mount traffic bounded.
-        """
-        return min(2.0, max(self.poll_interval_s, self.claims.ttl_s / 8.0))
-
-    @staticmethod
-    def _note_outcome(report: SweepReport, outcome: PointOutcome) -> None:
-        if outcome.cached:
-            report.note_cached(outcome.elapsed_s, hot=outcome.hot)
-        else:
-            report.note_executed(
-                PointMetrics(
-                    elapsed_s=outcome.elapsed_s or 0.0,
-                    trace_hits=outcome.trace_hits,
-                    trace_misses=outcome.trace_misses,
-                )
-            )
-
-    # ------------------------------------------------------------------
-    # incremental execution: claim-or-wait
-    # ------------------------------------------------------------------
     def submit_point(self, point: SweepPoint) -> "Future[PointOutcome]":
         """A future of ``point``'s outcome, computed by *someone*.
 
-        Cache hits resolve immediately.  On a miss this worker claims
-        the point and computes it; if another worker already holds the
-        claim, the future resolves when that worker's result appears in
-        the shared store — or, should the claim go stale, when this
-        worker steals and finishes the computation itself.
+        A cache hit resolves at once, and duplicate keys share one
+        pending entry.  A miss is claimed and computed here when a slot
+        is free — the first worker to ask claims it — and queued
+        otherwise.  A point claimed elsewhere resolves when that
+        worker's result appears in the shared store, or computes here
+        should its claim be released without a result or go stale.
         """
-        cached = self.runner.cached_outcome(point)
+        cached = self.cached_outcome(point)
         if cached is not None:
-            done: Future[PointOutcome] = Future()
-            done.set_result(cached)
-            return done
+            return _resolved(cached)
         key = self.claim_key(point)
-        if self.claims.acquire(key):
-            entry = self.runner.store.load_entry(point)
-            if entry is not MISS:
-                self.claims.release(key)
-                done = Future()
-                done.set_result(
-                    PointOutcome(
-                        value=entry.result, elapsed_s=entry.elapsed_s, cached=True
-                    )
-                )
-                return done
-            self._ensure_heartbeat()
-            return self._compute_claimed(point, key)
-        return self._enqueue_wait(point, key)
-
-    def _compute_claimed(
-        self, point: SweepPoint, key: str
-    ) -> "Future[PointOutcome]":
-        outer: Future[PointOutcome] = Future()
-        inner = self.runner.submit_point(point)
-
-        def _finish(fut: "Future[PointOutcome]") -> None:
-            try:
-                outcome = fut.result()
-            except BaseException as exc:
-                self.claims.release(key)
-                outer.set_exception(
-                    exc
-                    if isinstance(exc, SweepError)
-                    else SweepError(f"sweep point failed: {point!r} ({exc})")
-                )
-                return
-            if not outcome.cached:
-                self.claims.note_computed(key)
-            self.claims.release(key)
-            outer.set_result(outcome)
-
-        inner.add_done_callback(_finish)
-        return outer
-
-    def _enqueue_wait(self, point: SweepPoint, key: str) -> "Future[PointOutcome]":
-        outer: Future[PointOutcome] = Future()
+        future: Future[PointOutcome] = Future()
         with self._wake:
             if self._closed:
-                outer.set_exception(
-                    SweepError(f"claimed runner closed while waiting for {point!r}")
-                )
-                return outer
-            _point, futures = self._waiting.setdefault(key, (point, []))
-            futures.append(outer)
-            if self._waiter_thread is None or not self._waiter_thread.is_alive():
-                self._waiter_thread = threading.Thread(
-                    target=self._waiter_loop,
-                    name="repro-claim-waiter",
-                    daemon=True,
-                )
-                self._waiter_thread.start()
-            self._wake.notify_all()
-        return outer
-
-    def _waiter_loop(self) -> None:
-        retry_at: dict[str, float] = {}
-        retry_interval = self._acquire_interval()
-        while True:
-            with self._wake:
-                while not self._waiting and not self._closed:
-                    retry_at.clear()
-                    self._wake.wait()
-                if self._closed:
-                    return
-                items = list(self._waiting.items())
-            for key, (point, futures) in items:
-                # result poll each cycle (one stat until it appears)...
-                if self.runner.store.path_for(point).exists():
-                    entry = self.runner.store.load_entry(point)
-                    if entry is not MISS:
-                        outcome = PointOutcome(
-                            value=entry.result, elapsed_s=entry.elapsed_s, cached=True
-                        )
-                        retry_at.pop(key, None)
-                        self._resolve_waiters(key, lambda f: f.set_result(outcome))
-                        continue
-                # ...claim retries (steal/takeover) at TTL-scale cadence
-                now = time.monotonic()
-                if now < retry_at.get(key, 0.0):
-                    continue
-                retry_at[key] = now + retry_interval
-                if self.claims.acquire(key):
-                    # released without a result (the other worker failed)
-                    # or stale (it died): take the computation over.
-                    retry_at.pop(key, None)
-                    self._ensure_heartbeat()
-                    inner = self._compute_claimed(point, key)
-                    with self._wake:
-                        waiters = self._waiting.pop(key, (point, []))[1]
-
-                    def _relay(fut: "Future[PointOutcome]", waiters=waiters) -> None:
-                        exc = fut.exception()
-                        for waiter in waiters:
-                            if exc is not None:
-                                waiter.set_exception(exc)
-                            else:
-                                waiter.set_result(fut.result())
-
-                    inner.add_done_callback(_relay)
-            with self._wake:
-                if self._closed:
-                    return
-                self._wake.wait(timeout=self.poll_interval_s)
-
-    def _resolve_waiters(self, key: str, resolve) -> None:
-        with self._wake:
-            waiters = self._waiting.pop(key, (None, []))[1]
-        for waiter in waiters:
-            resolve(waiter)
-
-    # ------------------------------------------------------------------
-    # heartbeats and lifecycle
-    # ------------------------------------------------------------------
-    def _ensure_heartbeat(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            if self._hb_thread is None or not self._hb_thread.is_alive():
-                self._hb_thread = threading.Thread(
-                    target=self._heartbeat_loop,
-                    name="repro-claim-heartbeat",
-                    daemon=True,
-                )
-                self._hb_thread.start()
-
-    def _heartbeat_loop(self) -> None:
-        interval = max(0.05, self.claims.ttl_s / 4.0)
-        while not self._hb_stop.wait(interval):
-            self.claims.heartbeat()
-
-    def close(self) -> None:
-        """Release held claims, stop the threads, close the inner runner.
-
-        Unresolved waiters (points another worker was computing) resolve
-        with a :class:`SweepError` rather than hanging forever.
-        """
-        with self._wake:
-            self._closed = True
-            waiting, self._waiting = self._waiting, {}
-            self._wake.notify_all()
-        self._hb_stop.set()
-        for _key, (point, futures) in waiting.items():
-            for future in futures:
                 future.set_exception(
                     SweepError(f"claimed runner closed while waiting for {point!r}")
                 )
-        for thread in (self._hb_thread, self._waiter_thread):
-            if thread is not None and thread.is_alive():
-                thread.join(timeout=5.0)
+                return future
+            if key in self._pending:
+                self._pending[key][1].append(future)
+                return future
+            self._pending[key] = (point, [future])
+            slot = self._free > 0
+            if slot:
+                self._free -= 1
+            else:
+                self._queued.append(key)
+        if slot:
+            self._claim(key, point)
+        return future
+
+    # ------------------------------------------------------------------
+    # slots: claim, compute, settle
+    # ------------------------------------------------------------------
+    def _claim(self, key: str, point: SweepPoint) -> None:
+        """On a reserved slot: claim and compute ``point``, or mark it
+        claimed elsewhere and give the slot back."""
+        try:
+            won = self.claims.acquire(key)
+        except OSError as exc:
+            self._release_slot()
+            self._settle(key, error=SweepError(f"cannot claim {point!r}: {exc}"))
+            return
+        if not won:
+            with self._wake:
+                self._blocked[key] = time.monotonic() + self._retry_s
+            self._release_slot()
+            return
+        # ParallelRunner.submit_point re-reads the store before computing:
+        # a peer may have finished the point between our miss and claim.
+        inner = super().submit_point(point)
+        inner.add_done_callback(functools.partial(self._finish, key))
+
+    def _finish(self, key: str, inner: "Future[PointOutcome]") -> None:
+        error = inner.exception()
+        outcome = inner.result() if error is None else None
+        if outcome is not None and not outcome.cached:
+            self.claims.note_computed(key)
+        # The result is stored before ``inner`` resolves, so the release
+        # never exposes a result-less point to the fleet.
+        self.claims.release(key)
+        self._release_slot()
+        self._settle(key, outcome, error)
+
+    def _release_slot(self) -> None:
+        with self._wake:
+            self._free += 1
+            self._wake.notify_all()
+
+    def _settle(
+        self,
+        key: str,
+        outcome: PointOutcome | None = None,
+        error: BaseException | None = None,
+    ) -> None:
+        """Resolve every future awaiting ``key``."""
+        with self._wake:
+            entry = self._pending.pop(key, None)
+            self._blocked.pop(key, None)
+        if entry is None:
+            return  # close() got there first
+        for future in entry[1]:
+            if error is None:
+                future.set_result(outcome)
+            else:
+                future.set_exception(error)
+
+    def _landed(self, point: SweepPoint) -> PointOutcome | None:
+        """The stored outcome once another worker's result has landed;
+        one ``stat`` while it has not (any stat error reads as not yet,
+        so the dispatcher thread keeps polling and heartbeating)."""
+        if not os.path.exists(self.store.path_for(point)):
+            return None
+        return self.cached_outcome(point)
+
+    # ------------------------------------------------------------------
+    # the dispatcher thread
+    # ------------------------------------------------------------------
+    def _dispatch(self) -> None:
+        beat_s = max(0.05, self.claims.ttl_s / 4.0)
+        next_beat = time.monotonic() + beat_s
+        while True:
+            now = time.monotonic()
+            if now >= next_beat:
+                self.claims.heartbeat()
+                next_beat = now + beat_s
+            with self._wake:
+                if self._closed:
+                    return
+                blocked = [(key, self._pending[key][0]) for key in self._blocked]
+            for key, point in blocked:
+                landed = self._landed(point)
+                if landed is not None:
+                    self._settle(key, landed)
+            with self._wake:
+                # claims due for a retry go first onto the free slots
+                due = [key for key, at in self._blocked.items() if at <= now]
+                for key in due[: self._free]:
+                    del self._blocked[key]
+                    self._queued.appendleft(key)
+            while (queued := self._next_queued()) is not None:
+                key, point = queued
+                landed = self._landed(point)
+                if landed is None:
+                    self._claim(key, point)
+                else:
+                    self._release_slot()
+                    self._settle(key, landed)
+            with self._wake:
+                if self._closed:
+                    return
+                if not (self._queued and self._free):
+                    timeout = next_beat - time.monotonic()
+                    if self._blocked:
+                        timeout = min(timeout, self.poll_interval_s)
+                    self._wake.wait(max(0.0, timeout))
+
+    def _next_queued(self) -> tuple[str, SweepPoint] | None:
+        """Pop the oldest queued key onto a free slot, if there is one."""
+        with self._wake:
+            if self._closed or not self._queued or not self._free:
+                return None
+            key = self._queued.popleft()
+            self._free -= 1
+            return key, self._pending[key][0]
+
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Stop the dispatcher, let local computations finish, release
+        every held claim, and shut the pool down.
+
+        Points still queued or waiting on another worker resolve with a
+        :class:`SweepError` rather than hanging forever.
+        """
+        with self._wake:
+            self._closed = True
+            self._wake.notify_all()
+        self._dispatcher.join(timeout=5.0)
+        with self._wake:
+            stranded = [
+                (key, self._pending[key][0])
+                for key in (*self._queued, *self._blocked)
+            ]
+            self._queued.clear()
+        for key, point in stranded:
+            self._settle(
+                key,
+                error=SweepError(f"claimed runner closed while waiting for {point!r}"),
+            )
+        super().close()
         self.claims.release_all()
-        self.runner.close()
-
-    def __enter__(self) -> "ClaimedRunner":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ClaimedRunner(owner={self.claims.owner!r}, jobs={self.jobs})"

@@ -29,7 +29,7 @@ Bounds and coherence:
   *processes* (peer replicas, CLI ``--refresh`` runs) are observed
   within one request.
 
-Thread safety: the tier is touched from an event loop, the incremental
+Thread safety: the tier is touched from an event loop, the runner
 pool's completion callbacks, and batch sweep threads concurrently; all
 state is guarded by one lock (every operation is a dict touch, so the
 lock is never held across I/O except the optional validate ``stat``).
@@ -60,7 +60,8 @@ class _Slot:
     entry: "StoredEntry"
     nbytes: int
     #: ``(st_mtime_ns, st_size)`` of the backing file at admission time,
-    #: or None when the tier does not validate.
+    #: or None when the tier does not validate (a validating tier admits
+    #: no entry whose file it cannot stat).
     stamp: tuple[int, int] | None
 
 
@@ -115,7 +116,7 @@ class HotTier:
             if slot is None:
                 self.misses += 1
                 return None
-            if slot.stamp is not None:
+            if self.validate:
                 # stat outside the lock would race a concurrent put;
                 # a local stat is ~1µs, far cheaper than read + parse.
                 if self._stat_stamp(path) != slot.stamp:
@@ -132,6 +133,8 @@ class HotTier:
         if nbytes > self.max_bytes:
             return
         stamp = self._stat_stamp(path) if self.validate else None
+        if self.validate and stamp is None:
+            return  # nothing to validate hits against: never admit
         with self._lock:
             if key in self._slots:
                 self._drop(key)

@@ -1,31 +1,32 @@
-"""Sweep execution: serial, fanned out over workers, or incremental.
+"""Sweep execution: every cache miss goes through one persistent pool.
 
 Every sweep point is bit-deterministic — all randomness flows from
 :class:`~repro.common.rng.DeterministicRng` seeds carried in the point's
 parameters — so points can run in any process, in any order, and the
-assembled results are identical to a serial run.  The
-:class:`ParallelRunner` exploits that: it dedupes the expanded grid,
-satisfies what it can from an optional :class:`ResultStore`, executes
-the remainder serially or over a ``ProcessPoolExecutor`` in chunks, and
-returns results in the original grid order.
+assembled results are identical to a serial run.
 
-Beyond batch :meth:`ParallelRunner.run`, the runner can be driven
-incrementally — :meth:`~ParallelRunner.submit_point` returns a
-:class:`concurrent.futures.Future` per point, which is what the HTTP
-service front-end (:mod:`repro.service`) builds on: an event loop
-submits points as requests arrive and awaits their futures instead of
-blocking on a whole grid.
+A :class:`ParallelRunner` gets a point to a worker one way only:
+:meth:`~ParallelRunner.submit_point` answers a cache hit at once and
+sends a miss to the runner's pool — one background thread at
+``jobs=1``, ``jobs`` forked worker processes otherwise — returning a
+:class:`concurrent.futures.Future`.  Batch :meth:`~ParallelRunner.run`
+dedupes a grid, reads its cache hits on the calling thread, submits the
+misses (longest-predicted-first when several workers share the pool),
+waits for all of them and returns the results in grid order.  The HTTP
+service front-end (:mod:`repro.service`) drives ``submit_point``
+directly: an event loop submits points as requests arrive and awaits
+their futures instead of blocking on a whole grid.
 """
 
 from __future__ import annotations
 
-import heapq
+import contextvars
+import functools
 import multiprocessing
 import os
 import threading
 from collections.abc import Iterable, Sequence
 from concurrent.futures import (
-    FIRST_EXCEPTION,
     Executor,
     Future,
     ProcessPoolExecutor,
@@ -43,21 +44,6 @@ from repro.harness.store import MISS, ResultStore
 
 class SweepError(RuntimeError):
     """A sweep point failed or its worker process died."""
-
-
-def _run_chunk(
-    payload: list[tuple[str, dict[str, Any]]]
-) -> list[tuple[Any, PointMetrics]]:
-    """Worker entry point: execute a chunk of points in one task."""
-    out: list[tuple[Any, PointMetrics]] = []
-    for kind, params in payload:
-        try:
-            out.append(execute_point_instrumented(kind, params))
-        except Exception as exc:
-            raise SweepError(
-                f"sweep point failed: kind={kind!r} params={params!r} ({exc})"
-            ) from exc
-    return out
 
 
 @dataclass(slots=True)
@@ -86,19 +72,20 @@ class SweepReport:
     def total(self) -> int:
         return self.executed + self.cached
 
-    def note_executed(self, metrics: PointMetrics) -> None:
+    def note(self, outcome: PointOutcome) -> None:
+        """Count one point of the sweep, freshly executed or cached."""
+        elapsed = outcome.elapsed_s or 0.0
+        if outcome.cached:
+            self.cached += 1
+            self.saved_seconds += elapsed
+            if outcome.hot:
+                self.hot_hits += 1
+            return
         self.executed += 1
-        self.executed_seconds += metrics.elapsed_s
-        self.max_point_seconds = max(self.max_point_seconds, metrics.elapsed_s)
-        self.trace_hits += metrics.trace_hits
-        self.trace_misses += metrics.trace_misses
-
-    def note_cached(self, elapsed_s: float | None, hot: bool = False) -> None:
-        self.cached += 1
-        if elapsed_s:
-            self.saved_seconds += elapsed_s
-        if hot:
-            self.hot_hits += 1
+        self.executed_seconds += elapsed
+        self.max_point_seconds = max(self.max_point_seconds, elapsed)
+        self.trace_hits += outcome.trace_hits
+        self.trace_misses += outcome.trace_misses
 
     def timing_summary(self) -> str:
         """Human-readable per-point timing, e.g. for the CLI status line."""
@@ -143,7 +130,7 @@ class SweepResult:
 
 @dataclass(frozen=True, slots=True)
 class PointOutcome:
-    """One incrementally executed point: its value and how it was had."""
+    """One submitted point: its value and how it was had."""
 
     value: Any
     #: Compute wall seconds — of this execution for fresh points, of the
@@ -158,6 +145,13 @@ class PointOutcome:
     #: True when a cached value was served from the in-memory hot tier
     #: (no filesystem I/O beyond at most one validating ``stat``).
     hot: bool = False
+
+
+def _resolved(outcome: PointOutcome) -> "Future[PointOutcome]":
+    """An already completed future of ``outcome``."""
+    done: Future[PointOutcome] = Future()
+    done.set_result(outcome)
+    return done
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -180,24 +174,21 @@ def _fork_context() -> multiprocessing.context.BaseContext | None:
 
 
 class ParallelRunner:
-    """Executes sweeps with caching, worker fan-out, and serial fallback.
+    """Executes sweeps with caching over one persistent worker pool.
 
-    * ``jobs``    — worker processes; 0 = all cores, 1 = serial (default),
+    * ``jobs``    — workers; 0 = all cores, 1 (default) = one background
+      thread, N > 1 = N forked worker processes,
     * ``store``   — optional :class:`ResultStore` consulted before and
       written after execution,
     * ``refresh`` — recompute every point and overwrite the cache.
 
-    Worker fan-out packs the grid into ~4 chunks per worker with
-    straggler-aware greedy packing: each chunk gets an (approximately)
-    equal *predicted duration*, using wall times the store recorded for
-    the same point, the same app, or the same kind (ocean points run
-    ~2x em3d's, so fixed-size chunks would serialize the tail).
-
-    Batch mode (:meth:`run`) executes a whole grid and blocks.
-    Incremental mode (:meth:`submit_point`) executes one point at a time
-    on a persistent pool and returns a future — with ``jobs > 1`` the
-    pool is worker processes, with ``jobs == 1`` a single background
-    thread (identical results; keeps a driving event loop responsive).
+    The pool is created by the first cache miss and reused by every
+    later :meth:`run` and :meth:`submit_point` until :meth:`close` (the
+    runner is also a context manager).  With several workers,
+    :meth:`run` submits its misses longest-predicted-first, using wall
+    times the store recorded for the same point, the same app, or the
+    same kind (ocean points run ~2x em3d's, so a slow app drawn last
+    would serialize the tail).
     """
 
     def __init__(
@@ -211,49 +202,47 @@ class ParallelRunner:
         self.refresh = refresh
         #: Report of the most recent :meth:`run` (None before any run).
         self.last_report: SweepReport | None = None
-        self._incremental: Executor | None = None
-        self._incremental_lock = threading.Lock()
+        self._pool: Executor | None = None
+        self._pool_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # batch execution
     # ------------------------------------------------------------------
     def run(self, sweep: SweepSpec | Sequence[SweepPoint]) -> SweepResult:
-        """Execute a spec (or explicit point list); order is preserved."""
+        """Execute a spec (or explicit point list); order is preserved.
+
+        Every miss runs, even after another has failed; then the first
+        failure in grid order is raised as a :class:`SweepError`.
+        """
         points = list(sweep.points() if isinstance(sweep, SweepSpec) else sweep)
-        report = SweepReport(jobs=self.jobs)
-        unique: list[SweepPoint] = []
-        seen: set[SweepPoint] = set()
-        for point in points:
-            if point not in seen:
-                seen.add(point)
-                unique.append(point)
-
-        results: dict[SweepPoint, Any] = {}
-        pending: list[SweepPoint] = []
-        if self.store is not None and not self.refresh:
-            for point in unique:
-                entry = self.store.load_entry(point)
-                if entry is MISS:
-                    pending.append(point)
-                else:
-                    results[point] = entry.result
-                    report.note_cached(entry.elapsed_s, hot=entry.hot)
-        else:
-            pending = unique
-
-        if pending:
-            if self.jobs > 1 and len(pending) > 1:
-                fresh = self._run_parallel(pending)
+        unique = list(dict.fromkeys(points))
+        outcomes: dict[SweepPoint, PointOutcome] = {}
+        misses: list[SweepPoint] = []
+        for point in unique:
+            hit = self.cached_outcome(point)
+            if hit is None:
+                misses.append(point)
             else:
-                fresh = [self._execute(point) for point in pending]
-            for point, (value, metrics) in zip(pending, fresh):
-                results[point] = value
-                self._store_quietly(point, value, metrics)
-                report.note_executed(metrics)
+                outcomes[point] = hit
+        if self.jobs > 1 and len(misses) > 1:
+            # longest first; sort() is stable, so ties keep grid order
+            predicted = dict(zip(misses, self.predicted_durations(misses)))
+            misses.sort(key=lambda point: -predicted[point])
+        futures = {point: self.submit_point(point) for point in misses}
+        wait(futures.values())
 
+        report = SweepReport(jobs=self.jobs)
+        for point in unique:
+            future = futures.get(point)
+            if future is not None:
+                error = future.exception()
+                if error is not None:
+                    raise error
+                outcomes[point] = future.result()
+            report.note(outcomes[point])
         self.last_report = report
         return SweepResult(
-            points=points, values=[results[p] for p in points], report=report
+            points=points, values=[outcomes[p].value for p in points], report=report
         )
 
     # ------------------------------------------------------------------
@@ -271,68 +260,6 @@ class ParallelRunner:
         except OSError:
             pass
 
-    def _execute(self, point: SweepPoint) -> tuple[Any, PointMetrics]:
-        try:
-            return execute_point_instrumented(point.kind, point.as_dict())
-        except Exception as exc:
-            raise SweepError(f"sweep point failed: {point!r} ({exc})") from exc
-
-    def _run_parallel(
-        self, pending: list[SweepPoint]
-    ) -> list[tuple[Any, PointMetrics]]:
-        workers = min(self.jobs, len(pending))
-        chunks = self._pack_chunks(pending, workers)
-        results: dict[int, tuple[Any, PointMetrics]] = {}
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=_fork_context()
-        ) as pool:
-            futures = {
-                pool.submit(
-                    _run_chunk,
-                    [(pending[i].kind, pending[i].as_dict()) for i in chunk],
-                ): chunk
-                for chunk in chunks
-            }
-            wait(futures, return_when=FIRST_EXCEPTION)
-            for future, chunk in futures.items():
-                try:
-                    values = future.result()
-                except BrokenProcessPool as exc:
-                    raise SweepError(
-                        f"a sweep worker process died while running "
-                        f"{len(chunk)} point(s), e.g. {pending[chunk[0]]!r}; "
-                        f"rerun with jobs=1 to see the failure inline"
-                    ) from exc
-                for index, value in zip(chunk, values):
-                    results[index] = value
-        return [results[index] for index in range(len(pending))]
-
-    # ------------------------------------------------------------------
-    # straggler-aware chunk packing
-    # ------------------------------------------------------------------
-    def _pack_chunks(
-        self, pending: list[SweepPoint], workers: int
-    ) -> list[list[int]]:
-        """Split ``pending`` into chunks of ~equal predicted duration.
-
-        Returns lists of indices into ``pending``: the grid is
-        greedy-packed (longest-predicted-first into the least-loaded
-        chunk) across ~4 waves per worker.  Packing only changes which
-        worker task runs a point — results are reassembled in grid order
-        either way, so output is deterministic.
-        """
-        count = len(pending)
-        bins = min(count, workers * 4)
-        durations = self.predicted_durations(pending)
-        order = sorted(range(count), key=lambda i: (-durations[i], i))
-        heap: list[tuple[float, int]] = [(0.0, b) for b in range(bins)]
-        packed: list[list[int]] = [[] for _ in range(bins)]
-        for index in order:
-            load, which = heapq.heappop(heap)
-            packed[which].append(index)
-            heapq.heappush(heap, (load + durations[index], which))
-        return [sorted(chunk) for chunk in packed if chunk]
-
     def predicted_durations(self, pending: list[SweepPoint]) -> list[float]:
         """Predicted compute seconds per point, from recorded wall times.
 
@@ -340,10 +267,9 @@ class ParallelRunner:
         ``refresh``, where entries exist but are being recomputed), then
         the mean over recorded entries of the same kind with the same
         ``app``, then the kind-level mean, then the overall mean (1.0
-        when the store has no timing signal at all — equal weights make
-        greedy packing degrade to balanced counts).  Shared by batch
-        chunk packing and the service's background-job submission order
-        (stragglers first).
+        when the store has no timing signal at all — equal weights keep
+        grid order).  Shared by :meth:`run`'s submission order and the
+        service's background-job submission order (stragglers first).
         """
         if self.store is None:
             return [1.0] * len(pending)
@@ -379,7 +305,7 @@ class ParallelRunner:
         return durations
 
     # ------------------------------------------------------------------
-    # incremental execution (submit/poll, used by the service layer)
+    # one point at a time: the only way a miss reaches a worker
     # ------------------------------------------------------------------
     def cached_outcome(self, point: SweepPoint) -> PointOutcome | None:
         """The stored outcome for ``point``, or None (miss / no store)."""
@@ -399,45 +325,51 @@ class ParallelRunner:
         """Submit one point for execution; returns a future of its outcome.
 
         Cache hits resolve immediately without touching the pool.  On a
-        miss the point runs on the persistent incremental pool and the
-        result (with its wall time) is written back to the store before
-        the future resolves, so a concurrent batch run or another
-        service replica sharing the cache dir sees it.
+        miss the point runs on the pool and the result (with its wall
+        time) is written back to the store before the future resolves,
+        so a concurrent batch run or another service replica sharing the
+        cache dir sees it.  On the thread pool the point runs in a copy
+        of the caller's :mod:`contextvars` context, as
+        :func:`asyncio.to_thread` does.
         """
         cached = self.cached_outcome(point)
         if cached is not None:
-            done: Future[PointOutcome] = Future()
-            done.set_result(cached)
-            return done
-
-        pool = self._ensure_incremental()
+            return _resolved(cached)
+        context = contextvars.copy_context()
+        call = (execute_point_instrumented, point.kind, point.as_dict())
+        if self.jobs == 1:
+            call = (context.run, *call)
+        pool = self._ensure_pool()
         try:
-            inner = pool.submit(
-                execute_point_instrumented, point.kind, point.as_dict()
-            )
+            inner = pool.submit(*call)
         except BrokenProcessPool:
             # an earlier point killed a worker; rebuild the pool once so
             # one crash doesn't poison every later submission.
-            self._discard_incremental(pool)
-            pool = self._ensure_incremental()
-            inner = pool.submit(
-                execute_point_instrumented, point.kind, point.as_dict()
-            )
+            self._discard_pool(pool)
+            pool = self._ensure_pool()
+            inner = pool.submit(*call)
 
         outer: Future[PointOutcome] = Future()
 
         def _finish(fut: "Future[tuple[Any, PointMetrics]]") -> None:
             if fut.cancelled():
-                # close()/_discard_incremental cancel queued work; the
-                # outer future must still resolve or waiters hang.
+                # close()/_discard_pool cancel queued work; the outer
+                # future must still resolve or waiters hang.
                 outer.set_exception(
                     SweepError(f"sweep point cancelled before running: {point!r}")
                 )
                 return
             exc = fut.exception()
+            if isinstance(exc, BrokenProcessPool):
+                self._discard_pool(pool)
+                outer.set_exception(
+                    SweepError(
+                        f"a sweep worker process died while running {point!r}; "
+                        f"rerun with jobs=1 to see the failure inline"
+                    )
+                )
+                return
             if exc is not None:
-                if isinstance(exc, BrokenProcessPool):
-                    self._discard_incremental(pool)
                 outer.set_exception(
                     SweepError(f"sweep point failed: {point!r} ({exc})")
                 )
@@ -454,43 +386,50 @@ class ParallelRunner:
                 )
             )
 
-        inner.add_done_callback(_finish)
+        # The store write runs in the caller's context too, so anything
+        # tracing it sees the same parent as the point itself.
+        inner.add_done_callback(functools.partial(context.run, _finish))
         return outer
 
-    def _ensure_incremental(self) -> Executor:
-        with self._incremental_lock:
-            if self._incremental is None:
+    # ------------------------------------------------------------------
+    # the pool
+    # ------------------------------------------------------------------
+    def _ensure_pool(self) -> Executor:
+        with self._pool_lock:
+            if self._pool is None:
                 if self.jobs > 1:
-                    self._incremental = ProcessPoolExecutor(
+                    self._pool = ProcessPoolExecutor(
                         max_workers=self.jobs,
                         mp_context=_fork_context(),
                     )
                 else:
-                    self._incremental = ThreadPoolExecutor(
+                    self._pool = ThreadPoolExecutor(
                         max_workers=1, thread_name_prefix="repro-point"
                     )
-            return self._incremental
+            return self._pool
 
-    def _discard_incremental(self, pool: Executor) -> None:
+    def _discard_pool(self, pool: Executor) -> None:
         """Drop a broken pool so the next submission builds a fresh one.
 
         Identity-guarded: a straggler failure callback from an already
         replaced pool must not tear down its healthy successor.
         """
-        with self._incremental_lock:
-            if self._incremental is pool:
-                self._incremental = None
+        with self._pool_lock:
+            if self._pool is pool:
+                self._pool = None
         pool.shutdown(wait=False, cancel_futures=True)
 
     @property
-    def incremental_started(self) -> bool:
+    def pool_started(self) -> bool:
         """True once a cache miss has forced the pool into existence."""
-        return self._incremental is not None
+        return self._pool is not None
 
     def close(self) -> None:
-        """Shut down the incremental pool (no-op if never started)."""
-        with self._incremental_lock:
-            pool, self._incremental = self._incremental, None
+        """Shut down the pool (no-op if never started); running points
+        finish, queued ones resolve with a :class:`SweepError`.  A later
+        miss builds a fresh pool."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
 

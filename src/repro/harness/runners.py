@@ -89,7 +89,7 @@ def execute_point_instrumented(
 
     The metrics travel back from worker processes alongside the result
     and are persisted in :class:`~repro.harness.store.ResultStore`
-    entries, feeding straggler-aware chunk packing and ``/statz``.
+    entries, feeding longest-predicted-first submission and ``/statz``.
     """
     # Lazy import: the trace pipeline pulls numpy in, and the counter
     # snapshot is the only coupling the harness needs.

@@ -175,7 +175,7 @@ class ResultStore:
 
         Deliberately scans across *all* fingerprints: entries written by
         older code versions still carry useful duration signal for
-        straggler-aware chunk packing, which only needs relative
+        longest-predicted-first submission, which only needs relative
         magnitudes, not result compatibility.
         """
         directory = self.root / kind

@@ -234,7 +234,7 @@ class ServiceApp:
         claims = getattr(runner, "claims", None)
         snapshot["runner"] = {
             "jobs": runner.jobs,
-            "pool_started": runner.incremental_started,
+            "pool_started": runner.pool_started,
             "cache_dir": str(store.root) if store is not None else None,
             "cache_entries": self._count_cache_entries(claims_active=claims is not None),
         }

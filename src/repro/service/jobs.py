@@ -9,7 +9,7 @@ sweep-point value:
 2. **Cache** — the :class:`~repro.harness.ResultStore` is consulted
    inline (a single local-disk JSON read); hits return without ever
    touching the runner.
-3. **Compute** — misses are submitted to the runner's incremental pool
+3. **Compute** — misses are submitted to the runner's pool
    (:meth:`~repro.harness.ParallelRunner.submit_point`), bounded by
    ``max_pending``; beyond the bound new computations are refused
    (:class:`PoolSaturated` → HTTP 429).  Requests carry a timeout
@@ -329,7 +329,7 @@ class JobTable:
 
     def _submission_order(self, points: list[SweepPoint]) -> list[int]:
         """Indices longest-predicted-first — the same recorded-wall-time
-        signal batch chunk packing uses, so a job's stragglers start
+        signal batch ``run()`` submits by, so a job's stragglers start
         first instead of serializing behind the grid's tail.  With no
         timing signal every point weighs the same and the sort is
         stable, preserving grid order."""

@@ -54,7 +54,6 @@ class ServiceConfig:
     #: distinct from the idle timeout — a slow upload is not an idle
     #: connection (it gets a 408, not a silent close).
     request_timeout_s: float = 30.0
-    job_concurrency: int = 2
     #: Claim-file directory for multi-replica deployments (canonically
     #: ``<cache-dir>/claims``): replicas sharing one cache dir claim
     #: each point before computing it, so a grid submitted to two
@@ -84,61 +83,62 @@ class ServiceConfig:
 class ReproService:
     """Owns the runner, pool, job table, app, and listening socket."""
 
-    def __init__(
-        self, config: ServiceConfig | None = None, runner: ParallelRunner | None = None
-    ) -> None:
+    def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
-        if runner is None:
-            # Hot tier validation is tied to claim coordination: with
-            # peer replicas writing into the shared cache dir, each hit
-            # re-stats its backing file; single-replica deployments are
-            # the only writer and skip even that.
-            hot_tier = (
-                HotTier(
-                    max_entries=self.config.hot_entries,
-                    max_bytes=self.config.hot_bytes,
-                    validate=self.config.claim_dir is not None,
-                )
-                if self.config.hot_entries > 0 and self.config.hot_bytes > 0
-                else None
+        # Hot tier validation is tied to claim coordination: with peer
+        # replicas writing into the shared cache dir, each hit re-stats
+        # its backing file; single-replica deployments are the only
+        # writer and skip even that.
+        hot_tier = (
+            HotTier(
+                max_entries=self.config.hot_entries,
+                max_bytes=self.config.hot_bytes,
+                validate=self.config.claim_dir is not None,
             )
-            store = (
-                ResultStore(self.config.cache_dir, hot_tier=hot_tier)
-                if self.config.cache_dir is not None
-                else None
-            )
-            runner = ParallelRunner(
+            if self.config.hot_entries > 0 and self.config.hot_bytes > 0
+            else None
+        )
+        store = (
+            ResultStore(self.config.cache_dir, hot_tier=hot_tier)
+            if self.config.cache_dir is not None
+            else None
+        )
+        if self.config.claim_dir is None:
+            self.runner = ParallelRunner(
                 jobs=self.config.jobs, store=store, refresh=self.config.refresh
             )
-        if self.config.claim_dir is not None and not isinstance(
-            runner, ClaimedRunner
-        ):
+        elif self.config.refresh:
+            raise ValueError(
+                "claims cannot be combined with refresh: every replica would "
+                "recompute every point, defeating exactly-once division"
+            )
+        else:
             # Replica mode: claim points before computing them, so
             # replicas sharing this cache dir divide grids between
             # them instead of duplicating work (raises on store=None —
             # claims without a shared store cannot share results).
-            runner = ClaimedRunner(
-                runner,
+            self.runner = ClaimedRunner(
                 ClaimBoard(
                     self.config.claim_dir,
                     owner=self.config.worker_id,
                     ttl_s=self.config.claim_ttl_s,
                 ),
+                jobs=self.config.jobs,
+                store=store,
             )
-        self.runner = runner
         if self.runner.store is not None:
             # Compiled traces share the point cache's directory; the
-            # incremental pool's workers (thread or forked processes)
+            # runner's pool workers (thread or forked processes)
             # inherit this configuration.
             from repro.trace import configure_trace_cache
 
             configure_trace_cache(self.runner.store.root)
         self.pool = ComputePool(
-            runner,
+            self.runner,
             max_pending=self.config.max_pending,
             timeout_s=self.config.timeout_s,
         )
-        self.jobs = JobTable(self.pool, concurrency=self.config.job_concurrency)
+        self.jobs = JobTable(self.pool)
         self.sessions = SessionTable(
             max_sessions=self.config.max_sessions,
             ttl_s=self.config.session_ttl_s,

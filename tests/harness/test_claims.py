@@ -7,9 +7,12 @@ reclaimed after the TTL while a live worker's heartbeat protects its
 claims indefinitely.
 """
 
+import errno
+import fcntl
 import json
 import multiprocessing
 import os
+import sys
 import threading
 import time
 
@@ -147,6 +150,50 @@ class TestClaimBoard:
         assert not other.acquire("k1")
 
 
+class TestClaimBoardFaults:
+    """The ``except OSError`` fallbacks, each driven by an injected fault."""
+
+    def test_read_only_audit_log_keeps_claims_working(self, tmp_path, monkeypatch):
+        board = ClaimBoard(tmp_path, owner="w1")
+        real_open = os.open
+
+        def no_log(path, *args, **kwargs):
+            if os.fspath(path) == os.fspath(board.log_path):
+                raise OSError(errno.EROFS, os.strerror(errno.EROFS))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", no_log)
+        assert board.acquire("k1") and board.holds("k1")
+        board.note_computed("k1")
+        board.release("k1")
+        assert not board.holds("k1") and not board_file_exists(board, "k1")
+        assert not board.log_path.exists() and board.events() == []
+        assert board.stats()["claimed"] == board.stats()["released"] == 1
+
+    def test_failing_heartbeat_utime_is_ignored(self, tmp_path, monkeypatch):
+        board = ClaimBoard(tmp_path, owner="w1")
+        assert board.acquire("k1")
+
+        def fail(*args, **kwargs):
+            raise OSError(errno.EROFS, os.strerror(errno.EROFS))
+
+        monkeypatch.setattr(os, "utime", fail)
+        board.heartbeat()
+        assert board.holds("k1") and board.stats()["lost"] == 0
+
+    def test_steals_unserialized_without_file_locks(self, tmp_path, monkeypatch):
+        def no_locks(fd, operation):
+            raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+        monkeypatch.setattr(fcntl, "flock", no_locks)
+        dead = ClaimBoard(tmp_path, owner="dead", ttl_s=10.0)
+        assert dead.acquire("k1")
+        backdate(dead, "k1", seconds=60.0)
+        thief = ClaimBoard(tmp_path, owner="thief", ttl_s=10.0)
+        assert thief.acquire("k1")
+        assert thief.stats()["stolen"] == 1
+
+
 def board_file_exists(board: ClaimBoard, key: str) -> bool:
     return board.path_for(key).exists()
 
@@ -221,10 +268,10 @@ class TestClaimRaces:
         fast_wins = []
 
         def read_then_stall(key):
-            info = real_read(key)  # the stale claim of "dead"
-            fast_wins.append(fast.acquire(key))
+            info = real_read(key)  # first read: the stale claim of "dead"
+            if not fast_wins:
+                fast_wins.append(fast.acquire(key))
             return info
-
         monkeypatch.setattr(slow, "read", read_then_stall)
         assert not slow.acquire("k1")
         assert fast_wins == [True]
@@ -233,29 +280,77 @@ class TestClaimRaces:
         assert fast.stats()["stolen"] + slow.stats()["stolen"] == 1
         assert not list(tmp_path.glob(".tomb-*"))
 
+    def test_third_worker_cannot_slip_into_a_late_thiefs_put_back(
+        self, tmp_path, monkeypatch
+    ):
+        """A late thief re-reads the claim under the steal lock, so it
+        never moves the faster thief's fresh claim aside, and a third
+        worker cannot create a claim in the emptied path."""
+        dead = ClaimBoard(tmp_path, owner="dead", ttl_s=30.0)
+        assert dead.acquire("k1")
+        backdate(dead, "k1", seconds=60.0)
+        slow = ClaimBoard(tmp_path, owner="slow", ttl_s=30.0)
+        fast = ClaimBoard(tmp_path, owner="fast", ttl_s=30.0)
+        third = ClaimBoard(tmp_path, owner="third", ttl_s=30.0)
+        real_read, real_link = slow.read, os.link
+        third_wins = []
+
+        def read_then_stall(key):
+            info = real_read(key)
+            if not fast.holds(key):
+                assert fast.acquire(key)  # steals while slow stalls
+            return info
+
+        def link_after_third(source, target):
+            # the third worker's create lands inside the put-back window
+            third_wins.append(third.acquire("k1"))
+            return real_link(source, target)
+
+        monkeypatch.setattr(slow, "read", read_then_stall)
+        monkeypatch.setattr(os, "link", link_after_third)
+        assert not slow.acquire("k1")
+        assert third_wins == []  # slow never renamed fast's claim
+        assert json.loads(fast.path_for("k1").read_text())["owner"] == "fast"
+        assert fast.holds("k1") and not third.holds("k1")
+
+    def test_heartbeat_after_the_locked_read_is_put_back(self, tmp_path, monkeypatch):
+        """An owner's heartbeat landing between a thief's locked re-read
+        and its rename: the thief moved a live claim aside, so it puts
+        the claim back and loses."""
+        owner = ClaimBoard(tmp_path, owner="owner", ttl_s=30.0)
+        assert owner.acquire("k1")
+        backdate(owner, "k1", seconds=60.0)
+        thief = ClaimBoard(tmp_path, owner="thief", ttl_s=30.0)
+        real_read = thief.read
+        reads = []
+
+        def read_then_heartbeat(key):
+            reads.append(real_read(key))
+            if len(reads) == 2:  # the re-read under the steal lock
+                owner.heartbeat()
+            return reads[-1]
+
+        monkeypatch.setattr(thief, "read", read_then_heartbeat)
+        assert not thief.acquire("k1")
+        assert len(reads) == 2
+        assert json.loads(owner.path_for("k1").read_text())["owner"] == "owner"
+        assert owner.holds("k1") and not thief.holds("k1")
+        assert thief.stats()["stolen"] == 0
+        assert not list(tmp_path.glob(".tomb-*"))
+
 
 class TestClaimedRunner:
-    def make(self, tmp_path, owner="w1", ttl_s=30.0, **runner_kwargs):
-        runner_kwargs.setdefault("jobs", 1)
-        runner_kwargs.setdefault("store", ResultStore(tmp_path / "cache"))
+    def make(self, tmp_path, owner="w1", ttl_s=30.0, jobs=1):
         return ClaimedRunner(
-            ParallelRunner(**runner_kwargs),
             ClaimBoard(tmp_path / "cache" / "claims", owner=owner, ttl_s=ttl_s),
+            jobs=jobs,
+            store=ResultStore(tmp_path / "cache"),
             poll_interval_s=0.02,
         )
 
     def test_requires_a_store(self, tmp_path):
         with pytest.raises(ValueError, match="store"):
-            ClaimedRunner(
-                ParallelRunner(jobs=1), ClaimBoard(tmp_path / "claims")
-            )
-
-    def test_rejects_refresh(self, tmp_path):
-        with pytest.raises(ValueError, match="refresh"):
-            ClaimedRunner(
-                ParallelRunner(store=ResultStore(tmp_path / "cache"), refresh=True),
-                ClaimBoard(tmp_path / "claims"),
-            )
+            ClaimedRunner(ClaimBoard(tmp_path / "claims"), jobs=1)
 
     def test_single_worker_run_matches_serial(self, tmp_path):
         serial = ParallelRunner(jobs=1).run(ECHO_SPEC)
@@ -402,6 +497,23 @@ class TestClaimedRunner:
             assert not outcome.cached and outcome.value["echo"] == 5
             assert runner.claims.stats()["stolen"] == 1
 
+    def test_claim_released_without_result_is_taken_over(self, tmp_path):
+        """A peer that releases its claim without a result (its point
+        failed) leaves the point to this worker's next claim retry."""
+        point = SweepPoint.make("selftest", {"payload": 4})
+        other = ClaimBoard(tmp_path / "cache" / "claims", owner="other", ttl_s=30.0)
+        with self.make(tmp_path, owner="retrier", ttl_s=30.0) as runner:
+            key = runner.claim_key(point)
+            assert other.acquire(key)
+            future = runner.submit_point(point)
+            time.sleep(0.1)
+            assert not future.done()
+            other.release(key)
+            outcome = future.result(timeout=30)
+            assert not outcome.cached and outcome.value["echo"] == 4
+            assert runner.claims.stats()["computed"] == 1
+            assert runner.claims.stats()["stolen"] == 0
+
     def test_close_resolves_pending_waiters(self, tmp_path):
         point = SweepPoint.make("selftest", {"payload": 8})
         other = ClaimBoard(tmp_path / "cache" / "claims", owner="other", ttl_s=30.0)
@@ -411,6 +523,58 @@ class TestClaimedRunner:
         runner.close()
         with pytest.raises(SweepError, match="closed"):
             future.result(timeout=5)
+
+    def test_holds_one_claim_per_compute_slot(self, tmp_path):
+        """At jobs=1, misses beyond the first wait unclaimed, so peers
+        can take them while the first point computes."""
+        points = [
+            SweepPoint.make("selftest", {"payload": i, "sleep_s": 0.3})
+            for i in range(3)
+        ]
+        with self.make(tmp_path) as runner:
+            futures = [runner.submit_point(point) for point in points]
+            assert runner.claims.held == 1
+            outcomes = [future.result(timeout=30) for future in futures]
+            assert [o.value["echo"] for o in outcomes] == [0, 1, 2]
+            assert runner.claims.stats()["computed"] == 3
+            assert runner.claims.held == 0
+            held, peak = 0, 0
+            for event in runner.claims.events():
+                held += {"claimed": 1, "released": -1, "lost": -1}.get(
+                    event["event"], 0
+                )
+                peak = max(peak, held)
+            assert peak == 1
+
+    def test_concurrent_submitters_share_slots_and_entries(self, tmp_path):
+        """Eight threads submit overlapping points through one runner
+        under a short switch interval: every future resolves to its
+        point's value, each point is computed once, every slot returns."""
+        points = [SweepPoint.make("selftest", {"payload": i % 7}) for i in range(56)]
+        submitted = [[] for _ in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with self.make(tmp_path, jobs=2) as runner:
+
+                def submit(index):
+                    for point in points[index::8]:
+                        submitted[index].append((point, runner.submit_point(point)))
+
+                threads = [
+                    threading.Thread(target=submit, args=(i,)) for i in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                for point, future in (pair for chunk in submitted for pair in chunk):
+                    assert future.result(timeout=60).value["echo"] == point["payload"]
+                assert runner.claims.stats()["computed"] == 7
+                assert runner.claims.held == 0 and runner._free == runner.jobs
+        finally:
+            sys.setswitchinterval(previous)
 
     def test_duplicate_grid_points_resolved_once(self, tmp_path):
         points = [

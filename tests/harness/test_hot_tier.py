@@ -1,7 +1,9 @@
 """Hot-tier unit tests and store⇄tier coherence."""
 
+import errno
 import json
 import multiprocessing
+import os
 
 import pytest
 
@@ -78,6 +80,7 @@ class TestLRUSemantics:
         tier = HotTier(max_entries=5, max_bytes=50, validate=True)
         stats = tier.stats()
         assert stats["hit_rate"] is None
+        (tmp_path / "a.json").write_text("{}")  # validated entries need a file
         tier.put("a", entry("a"), 10, tmp_path / "a.json")
         tier.get("a", tmp_path / "a.json")
         tier.get("b", tmp_path / "b.json")
@@ -159,6 +162,28 @@ class TestStoreCoherence:
         loaded = store.load_entry(self.point())
         assert loaded.result == {"series": [1, 2, 3, 4, 5]}
         assert tier.invalidations == 1
+
+    def test_validate_mode_never_admits_an_unstamped_entry(
+        self, tmp_path, monkeypatch
+    ):
+        """A validating tier that cannot stat an entry's file at
+        admission must not keep it: it could never check it again."""
+        tier = HotTier(validate=True)
+        store = ResultStore(tmp_path, hot_tier=tier)
+        target = store.path_for(self.point())
+        real_stat = os.stat
+
+        def flaky_stat(path, *args, **kwargs):
+            if os.fspath(path) == os.fspath(target):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", flaky_stat)
+        store.store(self.point(), {"series": [1]})
+        monkeypatch.undo()
+        assert len(tier) == 0
+        target.unlink()
+        assert store.load_entry(self.point()) is MISS
 
     def test_validate_mode_drops_vanished_file(self, tmp_path):
         tier = HotTier(validate=True)

@@ -1,22 +1,34 @@
 """Tests for sweep execution: serial, parallel, cached, and failing."""
 
+import contextvars
 import errno
 import os
 import pathlib
+from concurrent.futures import Future
 
 import pytest
 
 from repro.harness import (
     MISS,
     ParallelRunner,
+    PointOutcome,
     ResultStore,
     SweepError,
     SweepPoint,
     SweepSpec,
+    register_runner,
     resolve_jobs,
 )
 
 ECHO_SPEC = SweepSpec(kind="selftest", axes={"payload": [1, 2, 3, 4, 5]})
+
+#: Set by a test around a submission; read inside the point.
+CALLER = contextvars.ContextVar("caller", default=None)
+
+try:
+    register_runner("context_probe")(lambda params: {"caller": CALLER.get()})
+except ValueError:
+    pass  # already registered by an earlier import of this module
 
 
 def echoes(result):
@@ -33,6 +45,16 @@ class TestSerialParallelEquivalence:
     def test_parallel_executes_in_worker_processes(self):
         result = ParallelRunner(jobs=3).run(ECHO_SPEC)
         assert os.getpid() not in {value["pid"] for value in result.values}
+
+    def test_runs_share_one_pool(self):
+        """A second run() reuses the worker processes of the first."""
+        slow = {"sleep_s": 0.05}
+        with ParallelRunner(jobs=2) as runner:
+            first = runner.run(SweepSpec("selftest", {"payload": [1, 2, 3, 4]}, slow))
+            second = runner.run(SweepSpec("selftest", {"payload": [5, 6, 7, 8]}, slow))
+        pids = {value["pid"] for value in first.values + second.values}
+        assert os.getpid() not in pids
+        assert len(pids) <= 2
 
     def test_accuracy_kind_bit_identical(self):
         spec = SweepSpec(
@@ -78,6 +100,21 @@ class TestCaching:
         assert result.report.cached == 2
         assert result.report.executed == 3
         assert echoes(result) == [1, 2, 3, 4, 5]
+
+    def test_unreadable_entry_is_a_miss_and_recomputed(self, tmp_path, monkeypatch):
+        """EIO reading an entry degrades to a miss, then a recompute."""
+        store = ResultStore(tmp_path)
+        point = SweepPoint.make("selftest", {"payload": 1})
+        store.store(point, {"echo": 1, "pid": -1}, elapsed_s=1.0)
+
+        def fail(self):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(pathlib.Path, "read_bytes", fail)
+        assert store.load_entry(point) is MISS
+        result = ParallelRunner(store=store).run([point])
+        assert result.report.executed == 1 and result.report.cached == 0
+        assert result.values[0]["echo"] == 1 and result.values[0]["pid"] != -1
 
     @pytest.mark.parametrize(
         "target, name, code",
@@ -192,7 +229,7 @@ class TestIncrementalSubmission:
         with ParallelRunner(store=store) as runner:
             outcome = runner.submit_point(point).result(timeout=1)
             assert outcome.cached and outcome.elapsed_s == 0.5
-            assert not runner.incremental_started
+            assert not runner.pool_started
 
     def test_submit_point_failure_is_sweep_error(self):
         with ParallelRunner() as runner:
@@ -202,6 +239,18 @@ class TestIncrementalSubmission:
             future = runner.submit_point(point)
             with pytest.raises(SweepError, match="payload=9"):
                 future.result(timeout=30)
+
+    def test_point_sees_the_callers_context(self):
+        """On the thread pool a point runs in a copy of the submitter's
+        context, as asyncio.to_thread does."""
+        token = CALLER.set("submitter")
+        try:
+            with ParallelRunner() as runner:
+                point = SweepPoint.make("context_probe", {})
+                outcome = runner.submit_point(point).result(timeout=30)
+        finally:
+            CALLER.reset(token)
+        assert outcome.value == {"caller": "submitter"}
 
     def test_parallel_jobs_submit_runs_in_worker_process(self, tmp_path):
         with ParallelRunner(jobs=2, store=ResultStore(tmp_path)) as runner:
@@ -241,7 +290,7 @@ class TestIncrementalSubmission:
 
         runner = ParallelRunner()
         fake = FakeExecutor()
-        runner._incremental = fake
+        runner._pool = fake
         outer = runner.submit_point(SweepPoint.make("selftest", {"payload": 1}))
         fake.inner.cancel()
         with pytest.raises(SweepError, match="cancelled"):
@@ -267,13 +316,25 @@ class TestJobs:
         with pytest.raises(ValueError):
             resolve_jobs(-2)
 
-    def test_single_point_falls_back_to_serial(self):
-        result = ParallelRunner(jobs=8).run(ECHO_SPEC.points()[:1])
-        assert result.values[0]["pid"] == os.getpid()
+
+def submission_order(runner, points):
+    """The points ``runner.run`` submits, in submission order (each
+    resolves at once, so nothing is computed)."""
+    order = []
+
+    def record(point):
+        order.append(point)
+        done = Future()
+        done.set_result(PointOutcome(value=None, elapsed_s=0.0, cached=False))
+        return done
+
+    runner.submit_point = record
+    runner.run(points)
+    return order
 
 
 class TestStragglerPacking:
-    """Chunk packing by predicted duration (recorded wall times)."""
+    """Submission order by predicted duration (recorded wall times)."""
 
     def _points(self, apps, reps=1):
         return [
@@ -282,15 +343,12 @@ class TestStragglerPacking:
             for app in apps
         ]
 
-    def test_no_store_packs_balanced_counts(self):
-        runner = ParallelRunner(jobs=2)
+    def test_no_store_submits_in_grid_order(self):
         points = ECHO_SPEC.points()
-        chunks = runner._pack_chunks(points, workers=2)
-        assert sorted(i for chunk in chunks for i in chunk) == list(range(5))
-        assert max(len(c) for c in chunks) <= 1 + min(len(c) for c in chunks)
+        assert submission_order(ParallelRunner(jobs=2), points) == points
 
-    def test_app_level_means_drive_packing(self, tmp_path):
-        """An app recorded as slow is spread across chunks first."""
+    def test_longest_predicted_submitted_first(self, tmp_path):
+        """An app recorded as slow is submitted before the fast one."""
         store = ResultStore(tmp_path)
         # history: 'ocean' points took 4s, 'em3d' points 1s
         for i, (app, elapsed) in enumerate(
@@ -302,14 +360,13 @@ class TestStragglerPacking:
                 elapsed_s=elapsed,
             )
         runner = ParallelRunner(jobs=2, store=store)
-        pending = self._points(["ocean", "em3d"], reps=4)
+        pending = self._points(["em3d", "ocean"], reps=4)
         durations = runner.predicted_durations(pending)
         by_app = {p["app"]: d for p, d in zip(pending, durations)}
         assert by_app == {"ocean": 4.0, "em3d": 1.0}
-        chunks = runner._pack_chunks(pending, workers=1)
-        loads = [sum(durations[i] for i in chunk) for chunk in chunks]
-        # greedy LPT on 4x4s + 4x1s over 4 bins: perfectly even 5s bins
-        assert loads == [5.0, 5.0, 5.0, 5.0]
+        order = submission_order(runner, pending)
+        # longest first, ties in grid order
+        assert order == pending[1::2] + pending[0::2]
 
     def test_point_recorded_time_wins_under_refresh(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -327,7 +384,7 @@ class TestStragglerPacking:
         fresh = [SweepPoint.make("selftest", {"payload": "y", "app": "novel"})]
         assert runner.predicted_durations(fresh) == [3.0]
 
-    def test_packing_is_deterministic(self, tmp_path):
+    def test_submission_order_is_deterministic(self, tmp_path):
         store = ResultStore(tmp_path)
         for i in range(6):
             store.store(
@@ -335,16 +392,16 @@ class TestStragglerPacking:
                 {"echo": i},
                 elapsed_s=float(i + 1),
             )
-        runner = ParallelRunner(jobs=3, store=store)
         pending = self._points([f"a{i}" for i in range(3)], reps=5)
-        first = runner._pack_chunks(pending, workers=3)
-        second = runner._pack_chunks(pending, workers=3)
+        first = submission_order(ParallelRunner(jobs=3, store=store), pending)
+        second = submission_order(ParallelRunner(jobs=3, store=store), pending)
         assert first == second
+        assert [p["app"] for p in first] == ["a2"] * 5 + ["a1"] * 5 + ["a0"] * 5
 
     def test_packed_parallel_run_preserves_grid_order(self, tmp_path):
-        """Packing reorders execution, never results."""
+        """Submission order reorders execution, never results."""
         store = ResultStore(tmp_path)
-        # seed uneven history so packing actually deviates from slices
+        # seed uneven history so submission deviates from grid order
         for app, elapsed in [("slow", 8.0), ("fast", 1.0)]:
             store.store(
                 SweepPoint.make("selftest", {"payload": "seed", "app": app}),

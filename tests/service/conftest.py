@@ -4,7 +4,7 @@
 assert "zero executions on cache hit" and "exactly one under
 coalescing") and can block on a named gate until the test releases it
 (so tests can hold a computation in flight deterministically).  It runs
-in-process — the service tests use ``jobs=1``, whose incremental pool is
+in-process — the service tests use ``jobs=1``, whose pool is
 a background *thread* — so the counters are plain module state.
 """
 

@@ -47,7 +47,7 @@ class TestCacheFastPath:
             assert outcome.elapsed_s == 1.5
             # the compute pool never came into existence, let alone ran:
             assert CALLS["default"] == 0
-            assert not runner.incremental_started
+            assert not runner.pool_started
             assert pool.stats.hits == 1 and pool.stats.computes == 0
             assert pool.stats.saved_seconds == 1.5
             runner.close()
@@ -280,7 +280,7 @@ class TestJobTable:
 class TestJobSubmissionOrder:
     def test_stragglers_submitted_first(self, tmp_path):
         """Background jobs use the same predicted-duration signal as
-        batch chunk packing: recorded-slow points start first."""
+        batch submission: recorded-slow points start first."""
         store = ResultStore(tmp_path / "cache")
         for i, (app, elapsed) in enumerate(
             [("slow", 5.0), ("slow", 5.0), ("fast", 0.1), ("fast", 0.1)]
@@ -336,8 +336,9 @@ class TestClaimedReplicas:
 
     def make_replica(self, tmp_path, name):
         return ClaimedRunner(
-            ParallelRunner(jobs=1, store=ResultStore(tmp_path / "cache")),
             ClaimBoard(tmp_path / "cache" / "claims", owner=name, ttl_s=30.0),
+            jobs=1,
+            store=ResultStore(tmp_path / "cache"),
             poll_interval_s=0.02,
         )
 

@@ -211,7 +211,7 @@ class TestPointEndpoint:
             assert body["cached"] is True
             assert body["result"] == warmed.values[0]
             assert CALLS["default"] == 0
-            assert not service.runner.incremental_started
+            assert not service.runner.pool_started
 
         run_with_service(tmp_path, scenario)
 
