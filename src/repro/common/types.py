@@ -68,6 +68,23 @@ GENERAL_MESSAGE_KIND_COUNT = 5
 #: Number of request kinds an MSP encodes -> 2 bits (Section 7.3).
 REQUEST_KIND_COUNT = 3
 
+#: Fixed integer encoding of message kinds: code = index into this
+#: tuple.  Codes 0..2 are the request kinds (READ/WRITE/UPGRADE),
+#: matching :data:`REQUEST_KINDS`; 3..4 are acknowledgements.
+KIND_CODES: tuple[MessageKind, ...] = (
+    MessageKind.READ,
+    MessageKind.WRITE,
+    MessageKind.UPGRADE,
+    MessageKind.ACK,
+    MessageKind.WRITEBACK,
+)
+
+#: kind -> code.
+KIND_TO_CODE: dict[MessageKind, int] = {k: i for i, k in enumerate(KIND_CODES)}
+
+#: Codes <= this value are request messages.
+MAX_REQUEST_CODE = KIND_TO_CODE[MessageKind.UPGRADE]
+
 
 @dataclass(frozen=True, slots=True)
 class Message:

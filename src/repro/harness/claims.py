@@ -445,17 +445,17 @@ class ClaimedRunner(ParallelRunner):
     """A :class:`ParallelRunner` that divides grids with other workers.
 
     ``store`` is required — it is the cache the workers share — and
-    ``claims`` is canonically over ``<cache-dir>/claims/``.  Only
-    :meth:`submit_point` differs from the parent class, so :meth:`run`,
-    the CLI, the experiment functions and the HTTP service all go through
-    the claim protocol.
+    ``claims`` is canonically over ``<cache-dir>/claims/``.  Only the
+    step that submits a miss differs from the parent class, so
+    :meth:`run`, :meth:`submit_point`, the CLI, the experiment functions
+    and the HTTP service all go through the claim protocol.
 
     A worker claims a point only while one of its ``jobs`` compute
-    slots is free: :meth:`submit_point` claims a miss on the calling
-    thread when a slot is free and queues it otherwise, so a peer can
-    take the queued points meanwhile.  One daemon dispatcher thread
-    refreshes held claims every TTL/4 (so only a *dead* worker's claims
-    ever go stale) and, each cycle,
+    slots is free: a miss is claimed on the calling thread when a slot
+    is free and queued otherwise, so a peer can take the queued points
+    meanwhile.  One daemon dispatcher thread refreshes held claims every
+    TTL/4 (so only a *dead* worker's claims ever go stale) and, each
+    cycle,
 
     * makes one ``stat`` per point claimed elsewhere until that point's
       result lands in the store,
@@ -508,19 +508,16 @@ class ClaimedRunner(ParallelRunner):
         """
         return self.store.key_for(point)
 
-    def submit_point(self, point: SweepPoint) -> "Future[PointOutcome]":
-        """A future of ``point``'s outcome, computed by *someone*.
+    def _submit_miss(self, point: SweepPoint) -> "Future[PointOutcome]":
+        """A future of a missing ``point``'s outcome, computed by *someone*.
 
-        A cache hit resolves at once, and duplicate keys share one
-        pending entry.  A miss is claimed and computed here when a slot
-        is free — the first worker to ask claims it — and queued
-        otherwise.  A point claimed elsewhere resolves when that
-        worker's result appears in the shared store, or computes here
-        should its claim be released without a result or go stale.
+        Duplicate keys share one pending entry.  A miss is claimed and
+        computed here when a slot is free — the first worker to ask
+        claims it — and queued otherwise.  A point claimed elsewhere
+        resolves when that worker's result appears in the shared store,
+        or computes here should its claim be released without a result
+        or go stale.
         """
-        cached = self.cached_outcome(point)
-        if cached is not None:
-            return _resolved(cached)
         key = self.claim_key(point)
         future: Future[PointOutcome] = Future()
         with self._wake:
@@ -559,9 +556,13 @@ class ClaimedRunner(ParallelRunner):
                 self._blocked[key] = time.monotonic() + self._retry_s
             self._release_slot()
             return
-        # ParallelRunner.submit_point re-reads the store before computing:
-        # a peer may have finished the point between our miss and claim.
-        inner = super().submit_point(point)
+        # Re-read the store under the claim: a peer may have finished
+        # the point between our miss and our claim.
+        cached = self.cached_outcome(point)
+        if cached is None:
+            inner = super()._submit_miss(point)
+        else:
+            inner = _resolved(cached)
         inner.add_done_callback(functools.partial(self._finish, key))
 
     def _finish(self, key: str, inner: "Future[PointOutcome]") -> None:

@@ -11,8 +11,9 @@ sends a miss to the runner's pool — one background thread at
 ``jobs=1``, ``jobs`` forked worker processes otherwise — returning a
 :class:`concurrent.futures.Future`.  Batch :meth:`~ParallelRunner.run`
 dedupes a grid, reads its cache hits on the calling thread, submits the
-misses (longest-predicted-first when several workers share the pool),
-waits for all of them and returns the results in grid order.  The HTTP
+misses to the same pool without reading them again
+(longest-predicted-first when several workers share the pool), waits
+for all of them and returns the results in grid order.  The HTTP
 service front-end (:mod:`repro.service`) drives ``submit_point``
 directly: an event loop submits points as requests arrive and awaits
 their futures instead of blocking on a whole grid.
@@ -228,7 +229,7 @@ class ParallelRunner:
             # longest first; sort() is stable, so ties keep grid order
             predicted = dict(zip(misses, self.predicted_durations(misses)))
             misses.sort(key=lambda point: -predicted[point])
-        futures = {point: self.submit_point(point) for point in misses}
+        futures = {point: self._submit_miss(point) for point in misses}
         wait(futures.values())
 
         report = SweepReport(jobs=self.jobs)
@@ -335,6 +336,11 @@ class ParallelRunner:
         cached = self.cached_outcome(point)
         if cached is not None:
             return _resolved(cached)
+        return self._submit_miss(point)
+
+    def _submit_miss(self, point: SweepPoint) -> "Future[PointOutcome]":
+        """:meth:`submit_point` for a point the caller just found
+        missing from the store, so it is not read again here."""
         context = contextvars.copy_context()
         call = (execute_point_instrumented, point.kind, point.as_dict())
         if self.jobs == 1:

@@ -14,17 +14,36 @@ the paper identifies:
 
 Races are drawn from a per-block deterministic RNG stream, so results
 are reproducible and independent of block iteration order.
+
+One per-block walk emits every message as int columns (kind code,
+sender, epoch ordinal); :meth:`ProtocolEmulator.compile` keeps them as
+columns and :meth:`ProtocolEmulator.messages_for` boxes them into
+:class:`~repro.common.types.Message` objects.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from repro.common.rng import DeterministicRng
 from repro.common.stats import StatSet
-from repro.common.types import Message, MessageKind, NodeId
+from repro.common.types import (
+    KIND_CODES,
+    KIND_TO_CODE,
+    MAX_REQUEST_CODE,
+    Message,
+    MessageKind,
+    NodeId,
+)
 from repro.protocol.directory import BlockDirectory
 from repro.protocol.epochs import BlockScript, ReadEpoch, WriteEpoch
+
+_UPGRADE_KIND = MessageKind.UPGRADE
+_READ = KIND_TO_CODE[MessageKind.READ]
+_WRITE = KIND_TO_CODE[MessageKind.WRITE]
+_UPGRADE = KIND_TO_CODE[_UPGRADE_KIND]
+_ACK = KIND_TO_CODE[MessageKind.ACK]
+_WRITEBACK = KIND_TO_CODE[MessageKind.WRITEBACK]
 
 
 class ProtocolEmulator:
@@ -34,14 +53,18 @@ class ProtocolEmulator:
         self._rng = rng
         self.stats = StatSet()
 
-    def messages_for(self, script: BlockScript) -> list[Message]:
-        """The home-directory message stream for one block."""
-        return [message for _epoch, message in self.script_events(script)]
+    def _walk(
+        self,
+        script: BlockScript,
+        kinds: list[int],
+        nodes: list[int],
+        epochs: list[int],
+    ) -> None:
+        """Append one block's message stream to the int columns.
 
-    def script_events(
-        self, script: BlockScript
-    ) -> list[tuple[int, Message]]:
-        """``(epoch_index, message)`` pairs for one block's script.
+        ``kinds`` receives :data:`~repro.common.types.KIND_TO_CODE`
+        codes, ``nodes`` the senders and ``epochs`` the ordinal of the
+        epoch each message belongs to.
 
         Invalidation acknowledgements normally return in full-map order
         — the directory walks its sharer bitmap when sending
@@ -52,51 +75,73 @@ class ProtocolEmulator:
         """
         rng = self._rng.split(f"block-{script.block}")
         directory = BlockDirectory()
+        read, write = directory.read, directory.write
         # Sharers that will acknowledge a future invalidation in racy order.
         racy_ack_members: set[NodeId] = set()
-        out: list[tuple[int, Message]] = []
-        epoch_index = 0
-
-        def emit(kind: MessageKind, node: NodeId) -> None:
-            out.append(
-                (epoch_index, Message(kind=kind, node=node, block=script.block))
-            )
-            self.stats.bump(f"msg_{kind.value}")
-            if kind.is_request:
-                self.stats.bump("requests")
-
+        add_kind, add_node, add_epoch = kinds.append, nodes.append, epochs.append
         for epoch_index, epoch in enumerate(script.epochs):
             if isinstance(epoch, ReadEpoch):
-                arrival = list(epoch.readers)
+                arrival = epoch.readers
                 if epoch.racy and len(arrival) > 1:
+                    arrival = list(arrival)
                     rng.shuffle(arrival)
                 for reader in arrival:
-                    transition = directory.read(reader)
-                    if not transition.generated_request:
+                    transition = read(reader)
+                    if transition.request is None:
                         continue
-                    emit(MessageKind.READ, reader)
+                    add_kind(_READ)
+                    add_node(reader)
+                    add_epoch(epoch_index)
                     if transition.writeback_from is not None:
-                        emit(MessageKind.WRITEBACK, transition.writeback_from)
+                        add_kind(_WRITEBACK)
+                        add_node(transition.writeback_from)
+                        add_epoch(epoch_index)
                     if epoch.racy_acks:
                         racy_ack_members.add(reader)
             elif isinstance(epoch, WriteEpoch):
-                transition = directory.write(epoch.writer)
-                if not transition.generated_request:
+                transition = write(epoch.writer)
+                if transition.request is None:
                     continue
-                assert transition.request is not None
-                emit(transition.request, epoch.writer)
+                # an identity test: hashing an enum member runs Python code
+                upgrade = transition.request is _UPGRADE_KIND
+                add_kind(_UPGRADE if upgrade else _WRITE)
+                add_node(epoch.writer)
+                add_epoch(epoch_index)
                 if transition.writeback_from is not None:
-                    emit(MessageKind.WRITEBACK, transition.writeback_from)
+                    add_kind(_WRITEBACK)
+                    add_node(transition.writeback_from)
+                    add_epoch(epoch_index)
                 if transition.invalidated:
                     acks = list(transition.invalidated)  # full-map order
                     if racy_ack_members & set(acks) and len(acks) > 1:
                         rng.shuffle(acks)
-                    for node in acks:
-                        emit(MessageKind.ACK, node)
+                    kinds.extend([_ACK] * len(acks))
+                    nodes.extend(acks)
+                    epochs.extend([epoch_index] * len(acks))
                 racy_ack_members.clear()
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown epoch type: {epoch!r}")
-        return out
+
+    def _count(self, per_code: Sequence[int]) -> None:
+        """Bump ``msg_<kind>`` and ``requests`` by per-code message counts."""
+        for code, count in enumerate(per_code):
+            if count:
+                self.stats.bump(f"msg_{KIND_CODES[code].value}", count)
+        requests = sum(per_code[: MAX_REQUEST_CODE + 1])
+        if requests:
+            self.stats.bump("requests", requests)
+
+    def messages_for(self, script: BlockScript) -> list[Message]:
+        """The home-directory message stream for one block."""
+        kinds: list[int] = []
+        nodes: list[int] = []
+        self._walk(script, kinds, nodes, [])
+        self._count([kinds.count(code) for code in range(len(KIND_CODES))])
+        block = script.block
+        return [
+            Message(kind=KIND_CODES[code], node=node, block=block)
+            for code, node in zip(kinds, nodes)
+        ]
 
     def run(
         self, scripts: Iterable[BlockScript]
@@ -113,27 +158,30 @@ class ProtocolEmulator:
         The result is bit-equivalent to :meth:`run`: decoding the trace
         (:meth:`~repro.trace.compiled.CompiledTrace.to_messages`) yields
         exactly the messages ``run`` would, in the same block-major
-        order.  Races draw from the same per-block RNG streams, so
-        compiling and replaying are interchangeable.
+        order, and the same ``stats`` are counted.  Races draw from the
+        same per-block RNG streams, so compiling and replaying are
+        interchangeable.
         """
         # Imported here so the protocol layer stays importable without
         # pulling numpy in (repro.trace requires it).
-        from repro.trace.compiled import KIND_TO_CODE, CompiledTrace
+        import numpy as np
+
+        from repro.trace.compiled import CompiledTrace
 
         kinds: list[int] = []
         nodes: list[int] = []
         blocks: list[int] = []
         epochs: list[int] = []
         for script in scripts:
-            for epoch_index, message in self.script_events(script):
-                kinds.append(KIND_TO_CODE[message.kind])
-                nodes.append(message.node)
-                blocks.append(message.block)
-                epochs.append(epoch_index)
-        return CompiledTrace.from_columns(
+            before = len(kinds)
+            self._walk(script, kinds, nodes, epochs)
+            blocks.extend([script.block] * (len(kinds) - before))
+        trace = CompiledTrace.from_columns(
             kinds=kinds,
             nodes=nodes,
             blocks=blocks,
             epochs=epochs,
             num_nodes=num_nodes,
         )
+        self._count(np.bincount(trace.kinds, minlength=len(KIND_CODES)).tolist())
+        return trace

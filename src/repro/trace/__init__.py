@@ -18,7 +18,8 @@ from repro.trace.cache import (
     trace_point,
     trace_store,
 )
-from repro.trace.compiled import KIND_CODES, KIND_TO_CODE, CompiledTrace
+from repro.common.types import KIND_CODES, KIND_TO_CODE
+from repro.trace.compiled import CompiledTrace
 from repro.trace.vectorized import (
     TraceEvaluation,
     evaluate_trace,

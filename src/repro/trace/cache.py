@@ -42,8 +42,10 @@ TRACE_KIND = "trace"
 TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"
 
 #: Bumped when the trace payload layout changes; keys every trace entry
-#: so old payloads simply miss instead of mis-decoding.
-TRACE_SCHEMA = 1
+#: so old payloads simply miss instead of mis-decoding.  Schema 2 stores
+#: each column as base64 of its raw little-endian bytes (schema 1 held
+#: JSON int lists).
+TRACE_SCHEMA = 2
 
 _UNSET = object()
 _configured: Any = _UNSET
@@ -86,7 +88,7 @@ def trace_store() -> ResultStore | None:
     return ResultStore(
         directory,
         fingerprint={"trace_schema": TRACE_SCHEMA},
-        compact=True,  # columns are bulk int lists; indent would bloat
+        compact=True,  # one line: the columns are long base64 strings
     )
 
 

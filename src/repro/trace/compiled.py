@@ -21,30 +21,17 @@ lean on.
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 import numpy as np
 
 from repro.common.canonical import canonical_hash
-from repro.common.types import Message, MessageKind
+from repro.common.types import KIND_CODES, MAX_REQUEST_CODE, Message
 
-#: Fixed kind encoding: ``kinds`` column value = index into this tuple.
-#: Codes 0..2 are the request kinds (READ/WRITE/UPGRADE), matching
-#: :data:`repro.common.types.REQUEST_KINDS`; 3..4 are acknowledgements.
-KIND_CODES: tuple[MessageKind, ...] = (
-    MessageKind.READ,
-    MessageKind.WRITE,
-    MessageKind.UPGRADE,
-    MessageKind.ACK,
-    MessageKind.WRITEBACK,
-)
-
-#: kind -> column code.
-KIND_TO_CODE: dict[MessageKind, int] = {k: i for i, k in enumerate(KIND_CODES)}
-
-#: Codes <= this value are request messages.
-MAX_REQUEST_CODE = KIND_TO_CODE[MessageKind.UPGRADE]
+#: Payload column -> the little-endian dtype of its raw bytes.
+_PAYLOAD_DTYPES = {"kinds": "<u1", "nodes": "<i4", "blocks": "<i8", "epochs": "<i4"}
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -118,25 +105,40 @@ class CompiledTrace:
     # serialization (the trace-cache payload)
     # ------------------------------------------------------------------
     def as_payload(self) -> dict[str, Any]:
-        """A JSON-representable form, loadable by :meth:`from_payload`."""
-        return {
-            "num_nodes": self.num_nodes,
-            "kinds": self.kinds.tolist(),
-            "nodes": self.nodes.tolist(),
-            "blocks": self.blocks.tolist(),
-            "epochs": self.epochs.tolist(),
-        }
+        """A JSON-representable form, loadable by :meth:`from_payload`.
+
+        ``num_nodes`` plus each column as base64 of its raw
+        little-endian bytes (``kinds`` ``<u1``, ``nodes`` ``<i4``,
+        ``blocks`` ``<i8``, ``epochs`` ``<i4``).
+        """
+        payload: dict[str, Any] = {"num_nodes": self.num_nodes}
+        for name, dtype in _PAYLOAD_DTYPES.items():
+            raw = getattr(self, name).astype(dtype, copy=False).tobytes()
+            payload[name] = base64.b64encode(raw).decode("ascii")
+        return payload
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "CompiledTrace":
-        return cls.from_columns(
-            kinds=payload["kinds"],
-            nodes=payload["nodes"],
-            blocks=payload["blocks"],
-            epochs=payload["epochs"],
-            num_nodes=payload["num_nodes"],
-        )
+        """Decode :meth:`as_payload`'s form.
+
+        Raises ``ValueError`` (or ``KeyError``/``TypeError``) for a
+        payload that is not a whole trace: a non-positive or non-int
+        ``num_nodes``, a column that is not base64 of a whole number of
+        items, or columns of unequal length.
+        """
+        num_nodes = payload["num_nodes"]
+        if not isinstance(num_nodes, int) or num_nodes < 1:
+            raise ValueError(f"num_nodes must be a positive int, not {num_nodes!r}")
+        columns = {}
+        for name, dtype in _PAYLOAD_DTYPES.items():
+            raw = base64.b64decode(payload[name], validate=True)
+            if len(raw) % np.dtype(dtype).itemsize:
+                raise ValueError(f"column {name!r} holds a partial item")
+            columns[name] = np.frombuffer(raw, dtype=dtype)
+        if len({column.shape[0] for column in columns.values()}) > 1:
+            raise ValueError("trace columns differ in length")
+        return cls.from_columns(num_nodes=num_nodes, **columns)
 
     def content_hash(self) -> str:
-        """SHA-256 over the canonical JSON form of the columns."""
+        """SHA-256 over the canonical JSON form of :meth:`as_payload`."""
         return canonical_hash(self.as_payload())

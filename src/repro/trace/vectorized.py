@@ -7,12 +7,12 @@ that a two-level predictor's pattern table always holds "the token that
 followed this history the last time it occurred", so scoring reduces to
 a previous-occurrence join:
 
-1. encode each message (or VMSP event) as a dense integer token,
-2. form each position's history key — the ``depth`` preceding tokens of
-   the same block — as a dense group id,
+1. encode each message (or VMSP event) as a non-negative int token,
+2. pack each position's history key — its block and the ``depth``
+   preceding tokens of the same block — into one int64,
 3. for every position, find the latest earlier position with the same
-   group id (one stable argsort); the token observed *there* is exactly
-   the pattern-table entry consulted *here*,
+   key (one stable argsort); the token observed *there* is exactly the
+   pattern-table entry consulted *here*,
 4. compare predicted vs observed tokens in bulk.
 
 VMSP adds an event-compilation step (read runs fold into reader
@@ -38,8 +38,8 @@ import numpy as np
 
 from repro.predictors import PREDICTOR_CLASSES
 from repro.predictors.base import PredictionStats
-from repro.trace.compiled import KIND_TO_CODE, CompiledTrace
-from repro.common.types import MessageKind
+from repro.common.types import KIND_TO_CODE, MessageKind
+from repro.trace.compiled import CompiledTrace
 
 #: Column code of READ (the one request kind VMSP folds into vectors).
 _READ_CODE = KIND_TO_CODE[MessageKind.READ]
@@ -86,41 +86,21 @@ def _dense_groups(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
     return group
 
 
-def _previous_occurrence(groups: np.ndarray) -> np.ndarray:
-    """For each position, the latest earlier position sharing its group.
-
-    Returns -1 where no earlier occurrence exists.  One stable argsort:
-    equal group ids end up adjacent in index order, so each element's
-    predecessor in the sorted run is its previous occurrence.
-    """
-    n = groups.shape[0]
-    prev = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return prev
-    order = np.argsort(groups, kind="stable")
-    sorted_groups = groups[order]
-    same = sorted_groups[1:] == sorted_groups[:-1]
-    prev[order[1:][same]] = order[:-1][same]
-    return prev
+def _segments(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each element's contiguous-segment id (0, 1, ...) and its 0-based
+    position within that segment."""
+    n = blocks.shape[0]
+    boundary = np.empty(n, dtype=bool)
+    boundary[:1] = False
+    np.not_equal(blocks[1:], blocks[:-1], out=boundary[1:])
+    segment = np.cumsum(boundary)
+    starts = np.concatenate(([0], np.flatnonzero(boundary)))
+    return segment, np.arange(n, dtype=np.int64) - starts[segment]
 
 
-def _segment_positions(segment_ids: np.ndarray) -> np.ndarray:
-    """0-based position of each element within its contiguous segment."""
-    n = segment_ids.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.concatenate(
-        ([0], np.flatnonzero(segment_ids[1:] != segment_ids[:-1]) + 1)
-    )
-    lengths = np.diff(np.concatenate((starts, [n])))
-    return np.arange(n, dtype=np.int64) - np.repeat(starts, lengths)
-
-
-def _segment_count(segment_ids: np.ndarray) -> int:
-    n = segment_ids.shape[0]
-    if n == 0:
-        return 0
-    return 1 + int((segment_ids[1:] != segment_ids[:-1]).sum())
+#: A packed history key is re-densified before it could reach this
+#: bound, so ``key * width + token`` never overflows int64.
+_KEY_LIMIT = 1 << 62
 
 
 def _table_join(
@@ -128,27 +108,44 @@ def _table_join(
 ) -> tuple[np.ndarray, int, int]:
     """The previous-occurrence join behind two-level scoring.
 
-    Returns ``(entry_source, pattern_entries, allocated_blocks)`` where
-    ``entry_source[i]`` is the position whose token is the pattern-table
-    entry consulted at position ``i`` (-1 when the history is still
-    short or the table has no entry — both UNPREDICTED).  Positions with
-    fewer than ``depth`` predecessors in their block neither consult nor
-    populate the table, mirroring ``DirectoryPredictor._score/_learn``.
+    ``tokens`` are non-negative ints.  Returns ``(entry_source,
+    pattern_entries, allocated_blocks)`` where ``entry_source[i]`` is
+    the position whose token is the pattern-table entry consulted at
+    position ``i`` (-1 when the history is still short or the table has
+    no entry — both UNPREDICTED).  Positions with fewer than ``depth``
+    predecessors in their block neither consult nor populate the table,
+    mirroring ``DirectoryPredictor._score/_learn``.
+
+    Each such position's key packs its block segment and its ``depth``
+    preceding tokens into one int64, base ``tokens.max() + 1``; one
+    stable argsort then puts equal keys next to each other in index
+    order, so each key's sorted predecessor is its previous occurrence.
     """
     n = tokens.shape[0]
     entry_source = np.full(n, -1, dtype=np.int64)
-    positions = _segment_positions(blocks)
+    if n == 0:
+        return entry_source, 0, 0
+    segment, positions = _segments(blocks)
     valid = np.flatnonzero(positions >= depth)
     pattern_entries = 0
     if valid.size:
-        columns = [blocks[valid]]
-        columns.extend(tokens[valid - k] for k in range(1, depth + 1))
-        groups = _dense_groups(*columns)
-        pattern_entries = int(groups.max()) + 1
-        prev = _previous_occurrence(groups)
-        found = prev >= 0
-        entry_source[valid[found]] = valid[prev[found]]
-    return entry_source, pattern_entries, _segment_count(blocks)
+        width = int(tokens.max()) + 1
+        key = segment[valid]
+        key_bound = int(segment[-1]) + 1  # every key is below this
+        for k in range(1, depth + 1):
+            if key_bound * width > _KEY_LIMIT:
+                # re-densify so the packed key cannot overflow
+                _, key = np.unique(key, return_inverse=True)
+                key = key.astype(np.int64, copy=False)
+                key_bound = int(key.max()) + 1
+            key = key * width + tokens[valid - k]
+            key_bound *= width
+        order = np.argsort(key, kind="stable")
+        sorted_keys = key[order]
+        same = sorted_keys[1:] == sorted_keys[:-1]
+        entry_source[valid[order[1:][same]]] = valid[order[:-1][same]]
+        pattern_entries = int(valid.size - same.sum())
+    return entry_source, pattern_entries, int(segment[-1]) + 1
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +159,7 @@ def _evaluate_flat(
     nodes: np.ndarray,
     ignored: int,
 ) -> TraceEvaluation:
-    tokens = _dense_groups(kinds, nodes)
+    tokens = kinds.astype(np.int64) * (int(nodes.max(initial=0)) + 1) + nodes
     entry_source, pattern_entries, allocated = _table_join(blocks, tokens, depth)
     scored = np.flatnonzero(entry_source >= 0)
     correct = int((tokens[entry_source[scored]] == tokens[scored]).sum())
@@ -227,7 +224,7 @@ def _evaluate_vmsp(trace: CompiledTrace, depth: int) -> TraceEvaluation:
     # Per-block write ordinal: for writes, how many writes precede them
     # in their block (their ordinal); for reads, their run id.
     cumulative = np.cumsum(is_write.astype(np.int64))
-    positions = _segment_positions(blocks)
+    _, positions = _segments(blocks)
     segment_start = np.arange(blocks.shape[0], dtype=np.int64) - positions
     base = cumulative[segment_start] - is_write[segment_start]
     in_block = cumulative - base

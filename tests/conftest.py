@@ -46,6 +46,25 @@ def _isolate_trace_cache():
 
 
 @pytest.fixture
+def store_loads(monkeypatch):
+    """``store_loads(store)`` -> the list of points that
+    ``store.load_entry`` is asked for from then on, in call order."""
+
+    def watch(store):
+        loads = []
+        load_entry = store.load_entry
+
+        def counting(point):
+            loads.append(point)
+            return load_entry(point)
+
+        monkeypatch.setattr(store, "load_entry", counting)
+        return loads
+
+    return watch
+
+
+@pytest.fixture
 def rng() -> DeterministicRng:
     return DeterministicRng(2024, "tests")
 

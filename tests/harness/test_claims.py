@@ -461,6 +461,14 @@ class TestClaimedRunner:
             assert runner.claims.held == 0
             assert not board_file_exists(runner.claims, runner.claim_key(point))
 
+    def test_cold_miss_is_read_twice(self, tmp_path, store_loads):
+        """run()'s own check, then the re-check under the claim."""
+        point = SweepPoint.make("selftest", {"payload": 1})
+        with self.make(tmp_path) as runner:
+            loads = store_loads(runner.store)
+            assert runner.run([point]).report.executed == 1
+        assert loads == [point, point]
+
     def test_submit_point_computes_and_releases(self, tmp_path):
         with self.make(tmp_path) as runner:
             point = SweepPoint.make("selftest", {"payload": 42})

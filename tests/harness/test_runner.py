@@ -116,6 +116,15 @@ class TestCaching:
         assert result.report.executed == 1 and result.report.cached == 0
         assert result.values[0]["echo"] == 1 and result.values[0]["pid"] != -1
 
+    def test_cold_miss_is_read_once(self, tmp_path, store_loads):
+        """run() submits a miss it has just read without reading it again."""
+        store = ResultStore(tmp_path)
+        point = SweepPoint.make("selftest", {"payload": 1})
+        loads = store_loads(store)
+        with ParallelRunner(store=store) as runner:
+            assert runner.run([point]).report.executed == 1
+        assert loads == [point]
+
     @pytest.mark.parametrize(
         "target, name, code",
         [(os, "replace", errno.ENOSPC), (pathlib.Path, "mkdir", errno.EROFS)],
@@ -328,7 +337,7 @@ def submission_order(runner, points):
         done.set_result(PointOutcome(value=None, elapsed_s=0.0, cached=False))
         return done
 
-    runner.submit_point = record
+    runner._submit_miss = record
     runner.run(points)
     return order
 

@@ -1,6 +1,9 @@
 """Tests for the content-addressed result store."""
 
+import errno
 import json
+import os
+import pathlib
 import threading
 
 import pytest
@@ -269,6 +272,23 @@ class TestRecordedTimes:
         )
         (path.parent / "junk.json").write_text("{not json")
         assert len(store.recorded_times("selftest")) == 1
+
+    def test_entries_that_fail_to_open_are_skipped(self, tmp_path, monkeypatch):
+        """An OSError opening one entry skips it; the rest still count."""
+        store = ResultStore(tmp_path)
+        store.store(SweepPoint.make("selftest", {"payload": 1}), "a", elapsed_s=1.0)
+        denied = store.store(
+            SweepPoint.make("selftest", {"payload": 2}), "b", elapsed_s=2.0
+        )
+        real_open = pathlib.Path.open
+
+        def open_or_deny(self, *args, **kwargs):
+            if self == denied:
+                raise OSError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "open", open_or_deny)
+        assert [e for _p, e in store.recorded_times("selftest")] == [1.0]
 
     def test_reads_across_fingerprints(self, tmp_path):
         """Stale-fingerprint entries still contribute timing signal."""

@@ -9,21 +9,30 @@ class names, as executable oracles:
   and processors, closure-delivering interconnect and Message-boxed
   speculation engine;
 * :func:`~tests.oracles.accuracy.run_predictors_reference` — predictor
-  scoring one message at a time through the per-message predictors.
+  scoring one message at a time through the per-message predictors;
+* :class:`~tests.oracles.emulator.ReferenceEmulator` — the protocol
+  emulator building one ``Message`` and bumping one counter per
+  message;
+* :func:`~tests.oracles.trace.table_join_reference` — the scoring join
+  over re-densified group ids.
 
-Tests compare product against oracle (``tests/sim/``,
-``tests/trace/test_vectorized.py``); the golden files in
-``tests/golden/`` pin both to absolute numbers.
+Tests compare product against oracle (``tests/sim/``, ``tests/trace/``,
+``tests/protocol/``); the golden files in ``tests/golden/`` pin both to
+absolute numbers.
 """
 
 from tests.oracles.accuracy import run_predictors_reference
+from tests.oracles.emulator import ReferenceEmulator
 from tests.oracles.events import ReferenceEventQueue
 from tests.oracles.interconnect import ReferenceInterconnect
 from tests.oracles.machine import ReferenceMachine
+from tests.oracles.trace import table_join_reference
 
 __all__ = [
+    "ReferenceEmulator",
     "ReferenceEventQueue",
     "ReferenceInterconnect",
     "ReferenceMachine",
     "run_predictors_reference",
+    "table_join_reference",
 ]

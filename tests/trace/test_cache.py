@@ -1,5 +1,6 @@
 """Compiled-trace caching: addressing, hit/miss accounting, metadata."""
 
+import base64
 import errno
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 from repro.harness import SweepPoint
 from repro.harness.store import MISS
 from repro.trace import (
+    CompiledTrace,
     compile_app_trace,
     configure_trace_cache,
     snapshot_counters,
@@ -25,6 +27,32 @@ def cache_dir(tmp_path):
     directory = tmp_path / "cache"
     configure_trace_cache(directory)
     return directory
+
+
+COLUMNS = ("kinds", "nodes", "blocks", "epochs")
+
+
+def _drop_column(payload):
+    del payload["kinds"]
+
+
+def _short_column(payload):
+    """Cut 5 codes from ``kinds``, so the columns disagree in length."""
+    trace = CompiledTrace.from_payload(payload)
+    columns = {name: getattr(trace, name) for name in COLUMNS}
+    columns["kinds"] = columns["kinds"][:-5]
+    short = CompiledTrace.from_columns(num_nodes=trace.num_nodes, **columns)
+    payload.update(short.as_payload())
+
+
+def _partial_item(payload):
+    """Cut one byte from ``nodes``, leaving a partial 4-byte item."""
+    raw = base64.b64decode(payload["nodes"])
+    payload["nodes"] = base64.b64encode(raw[:-1]).decode("ascii")
+
+
+def _zero_nodes(payload):
+    payload["num_nodes"] = 0
 
 
 def _counters_delta(fn):
@@ -100,18 +128,23 @@ class TestCacheBehavior:
         )
         assert delta == (0, 1)
 
-    def test_corrupt_payload_degrades_to_recompile(self, cache_dir):
-        compile_app_trace("em3d", num_procs=8, iterations=3)
+    @pytest.mark.parametrize(
+        "corrupt",
+        [_drop_column, _short_column, _partial_item, _zero_nodes],
+        ids=["missing-column", "short-column", "partial-item", "zero-nodes"],
+    )
+    def test_corrupt_payload_degrades_to_recompile(self, cache_dir, corrupt):
+        good = compile_app_trace("em3d", num_procs=8, iterations=3)
         point = trace_point("em3d", 8, 3, 1999, 7)
         path = trace_store().path_for(point)
         entry = json.loads(path.read_text())
-        del entry["result"]["kinds"]
+        corrupt(entry["result"])
         path.write_text(json.dumps(entry))
         trace, delta = _counters_delta(
             lambda: compile_app_trace("em3d", num_procs=8, iterations=3)
         )
         assert delta == (0, 1)  # unreadable payload is a miss
-        assert len(trace) > 0
+        assert trace.content_hash() == good.content_hash()
 
     def test_trace_kind_is_not_a_runner_kind(self):
         """Traces are storage-only: no runner, so never servable."""

@@ -1,5 +1,7 @@
 """CompiledTrace structure, decode fidelity, and serialization."""
 
+import base64
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.common.types import MessageKind
 from repro.protocol.emulator import ProtocolEmulator
 from repro.protocol.epochs import BlockScript, ReadEpoch, WriteEpoch
 from repro.trace import KIND_CODES, KIND_TO_CODE, CompiledTrace
+from tests.oracles import ReferenceEmulator
 
 
 def _compile(scripts, num_nodes=8, race_seed=7):
@@ -32,12 +35,14 @@ class TestKindEncoding:
 
 
 class TestCompile:
+    """compile() against the message-at-a-time ReferenceEmulator."""
+
     def test_decodes_to_the_identical_message_stream(
         self, producer_consumer_script, migratory_script
     ):
         scripts = [producer_consumer_script, migratory_script]
         trace = _compile(scripts)
-        reference = ProtocolEmulator(DeterministicRng(7))
+        reference = ReferenceEmulator(DeterministicRng(7))
         expected = [
             message
             for _block, messages in reference.run(scripts)
@@ -45,27 +50,26 @@ class TestCompile:
         ]
         assert list(trace.to_messages()) == expected
 
-    def test_app_stream_matches_run(self):
+    def test_app_columns_match_reference(self):
         workload = make_app("em3d", num_procs=8, iterations=4).build()
         scripts = workload.block_scripts()
         trace = _compile(scripts)
-        reference = ProtocolEmulator(DeterministicRng(7))
-        expected = [
-            message
-            for _block, messages in reference.run(scripts)
-            for message in messages
-        ]
-        assert list(trace.to_messages()) == expected
+        expected = ReferenceEmulator(DeterministicRng(7)).compile(
+            scripts, num_nodes=8
+        )
+        for column in ("kinds", "nodes", "blocks", "epochs"):
+            np.testing.assert_array_equal(
+                getattr(trace, column), getattr(expected, column)
+            )
 
-    def test_emulator_stats_match_run(self):
-        """compile() feeds the same per-kind message counters as run()."""
+    def test_emulator_stats_match_reference(self):
+        """compile() counts the same per-kind messages as the reference."""
         workload = make_app("ocean", num_procs=8, iterations=3).build()
         compiling = ProtocolEmulator(DeterministicRng(7))
         compiling.compile(workload.block_scripts(), num_nodes=8)
-        replaying = ProtocolEmulator(DeterministicRng(7))
-        for _block, _messages in replaying.run(workload.block_scripts()):
-            pass
-        assert compiling.stats.as_dict() == replaying.stats.as_dict()
+        reference = ReferenceEmulator(DeterministicRng(7))
+        reference.compile(workload.block_scripts(), num_nodes=8)
+        assert compiling.stats.as_dict() == reference.stats.as_dict()
 
     def test_block_starts_and_epochs(self):
         scripts = [
@@ -99,6 +103,26 @@ class TestSerialization:
                 getattr(loaded, column), getattr(trace, column)
             )
         assert loaded.content_hash() == trace.content_hash()
+
+    def test_payload_columns_are_raw_little_endian_bytes(self):
+        scripts = [BlockScript(block=1, epochs=[WriteEpoch(0), WriteEpoch(1)])]
+        trace = _compile(scripts)
+        payload = trace.as_payload()
+        assert payload["num_nodes"] == 8
+        for column, dtype in (
+            ("kinds", "<u1"),
+            ("nodes", "<i4"),
+            ("blocks", "<i8"),
+            ("epochs", "<i4"),
+        ):
+            raw = base64.b64decode(payload[column])
+            np.testing.assert_array_equal(
+                np.frombuffer(raw, dtype=dtype), getattr(trace, column)
+            )
+
+    def test_empty_trace_round_trips(self):
+        loaded = CompiledTrace.from_payload(_compile([]).as_payload())
+        assert len(loaded) == 0 and loaded.num_nodes == 8
 
     def test_content_hash_sees_every_column(self):
         scripts = [BlockScript(block=1, epochs=[WriteEpoch(0), WriteEpoch(1)])]
