@@ -111,6 +111,32 @@ def scaling_spec(
     )
 
 
+def figure6_spec(points: int = 21) -> SweepSpec:
+    """One analytic-model point per Figure 6 panel, ``points`` samples each."""
+    return SweepSpec(
+        kind="analytic",
+        axes={"panel": list(FIGURE6_PANELS)},
+        base={"points": points},
+    )
+
+
+#: The grid each grid-shaped experiment expands to, declared once: the
+#: drivers below run these grids (figure6 at its caller's sample count),
+#: and the service runs a whole named experiment as one background sweep
+#: job over the same points (``GET /v1/experiments/<name>``), so the two
+#: paths share cache entries.
+_EXPERIMENT_SPECS: dict[str, Callable[[bool], SweepSpec]] = {
+    "figure6": lambda fast: figure6_spec(),
+    "figure7": accuracy_spec,
+    "figure8": lambda fast: accuracy_spec(fast, depths=(1, 2, 4)),
+    "table3": accuracy_spec,
+    "table4": lambda fast: accuracy_spec(fast, depths=(1, 4)),
+    "figure9": speculation_spec,
+    "table5": speculation_spec,
+    "scaling32": scaling_spec,
+}
+
+
 # ----------------------------------------------------------------------
 # configuration tables
 # ----------------------------------------------------------------------
@@ -136,12 +162,7 @@ def figure6(
 ) -> dict[str, dict]:
     """Figure 6: speedup of a speculative coherent DSM (4 panels)."""
     del fast
-    spec = SweepSpec(
-        kind="analytic",
-        axes={"panel": FIGURE6_PANELS},
-        base={"points": points},
-    )
-    result = _run(spec, runner)
+    result = _run(figure6_spec(points), runner)
     panels: dict[str, dict] = {}
     for point, value in result.items():
         panels[point["panel"]] = {
@@ -158,7 +179,7 @@ def figure7(
     fast: bool = False, runner: ParallelRunner | None = None
 ) -> dict[str, dict[str, float]]:
     """Figure 7: prediction accuracy per app, depth 1 (percent)."""
-    result = _run(accuracy_spec(fast), runner)
+    result = _run(experiment_spec("figure7", fast), runner)
     return {
         point["app"]: {
             name: 100.0 * run["accuracy"] for name, run in value["runs"].items()
@@ -167,13 +188,9 @@ def figure7(
     }
 
 
-def figure8(
-    fast: bool = False,
-    depths: tuple[int, ...] = (1, 2, 4),
-    runner: ParallelRunner | None = None,
-) -> dict:
+def figure8(fast: bool = False, runner: ParallelRunner | None = None) -> dict:
     """Figure 8: prediction accuracy at history depths 1, 2, 4."""
-    result = _run(accuracy_spec(fast, depths=depths), runner)
+    result = _run(experiment_spec("figure8", fast), runner)
     rows: dict[str, dict[int, dict[str, float]]] = {}
     for point, value in result.items():
         rows.setdefault(point["app"], {})[point["depth"]] = {
@@ -186,7 +203,7 @@ def table3(
     fast: bool = False, runner: ParallelRunner | None = None
 ) -> dict[str, dict[str, tuple[float, float]]]:
     """Table 3: % messages predicted (and correctly predicted), d=1."""
-    result = _run(accuracy_spec(fast), runner)
+    result = _run(experiment_spec("table3", fast), runner)
     return {
         point["app"]: {
             name: (100.0 * run["coverage"], 100.0 * run["correct_fraction"])
@@ -200,7 +217,7 @@ def table4(
     fast: bool = False, runner: ParallelRunner | None = None
 ) -> dict[str, dict[str, dict[str, float]]]:
     """Table 4: pattern-table entries per block (d=1, d=4), bytes (d=1)."""
-    result = _run(accuracy_spec(fast, depths=(1, 4)), runner)
+    result = _run(experiment_spec("table4", fast), runner)
     rows: dict[str, dict[str, dict[str, float]]] = {}
     for app in APP_NAMES:
         shallow = result.value(app=app, depth=1)["runs"]
@@ -223,7 +240,7 @@ def figure9(
     fast: bool = False, runner: ParallelRunner | None = None
 ) -> dict[str, dict[str, tuple[float, float]]]:
     """Figure 9: normalized execution time (comp, request) per system."""
-    result = _run(speculation_spec(fast), runner)
+    result = _run(experiment_spec("figure9", fast), runner)
     return {
         point["app"]: {
             mode: (entry["comp"], entry["request"])
@@ -237,7 +254,7 @@ def table5(
     fast: bool = False, runner: ParallelRunner | None = None
 ) -> dict[str, dict[str, float]]:
     """Table 5: request counts and speculation/misspeculation rates."""
-    result = _run(speculation_spec(fast), runner)
+    result = _run(experiment_spec("table5", fast), runner)
     return {point["app"]: value["table5"] for point, value in result.items()}
 
 
@@ -255,7 +272,7 @@ def scaling32(
     ``app -> nodes -> {mode: normalized time}``, each node count
     normalized to its own Base-DSM run.
     """
-    result = _run(scaling_spec(fast), runner)
+    result = _run(experiment_spec("scaling32", fast), runner)
     rows: dict[str, dict[int, dict[str, float]]] = {}
     for point, value in result.items():
         rows.setdefault(point["app"], {})[point["num_procs"]] = {
@@ -281,25 +298,6 @@ EXPERIMENTS: dict[str, Callable] = {
 #: inline wherever they are requested.
 STATIC_EXPERIMENTS = frozenset({"table1", "table2"})
 
-#: The grid each grid-shaped experiment expands to.  This is what lets
-#: the service run a whole named experiment as one background sweep job
-#: (``GET /v1/experiments/<name>``) — the job's points are exactly the
-#: points the drivers above run, so the two paths share cache entries.
-_EXPERIMENT_SPECS: dict[str, Callable[[bool], SweepSpec]] = {
-    "figure6": lambda fast: SweepSpec(
-        kind="analytic",
-        axes={"panel": list(FIGURE6_PANELS)},
-        base={"points": 21},
-    ),
-    "figure7": lambda fast: accuracy_spec(fast),
-    "figure8": lambda fast: accuracy_spec(fast, depths=(1, 2, 4)),
-    "table3": lambda fast: accuracy_spec(fast),
-    "table4": lambda fast: accuracy_spec(fast, depths=(1, 4)),
-    "figure9": lambda fast: speculation_spec(fast),
-    "table5": lambda fast: speculation_spec(fast),
-    "scaling32": lambda fast: scaling_spec(fast),
-}
-
 
 def experiment_spec(name: str, fast: bool = False) -> SweepSpec | None:
     """The sweep grid behind a named experiment, or None for static tables."""
@@ -308,6 +306,7 @@ def experiment_spec(name: str, fast: bool = False) -> SweepSpec | None:
         raise ValueError(f"unknown experiment {name!r} (known: {known})")
     builder = _EXPERIMENT_SPECS.get(name)
     return None if builder is None else builder(fast)
+
 
 #: Paper-beyond studies: registered and servable like any experiment but
 #: excluded from a bare ``repro-paper`` run (which reproduces the paper).

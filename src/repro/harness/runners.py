@@ -13,7 +13,6 @@ processes can resolve them by name after importing this module.
 
 from __future__ import annotations
 
-import os
 import time
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
@@ -195,23 +194,3 @@ def run_analytic_point(params: dict[str, Any]) -> dict[str, Any]:
         ]
     }
 
-
-@register_runner("selftest")
-def run_selftest_point(params: dict[str, Any]) -> dict[str, Any]:
-    """Harness self-test kind, used by the test suite and the docs.
-
-    ``behavior`` selects the outcome: ``"ok"`` echoes ``payload`` along
-    with the worker pid, ``"error"`` raises, ``"crash"`` kills the
-    worker process outright (exercising the crash-surfacing path).
-    ``sleep_s`` delays the point — race tests (claim takeover, worker
-    interleaving) need points that take a controllable amount of time.
-    """
-    behavior = params.get("behavior", "ok")
-    if behavior == "crash":
-        os._exit(13)
-    if behavior == "error":
-        raise ValueError(f"selftest error: {params.get('payload')!r}")
-    delay = params.get("sleep_s")
-    if delay:
-        time.sleep(float(delay))
-    return {"echo": params.get("payload"), "pid": os.getpid()}

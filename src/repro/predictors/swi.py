@@ -1,51 +1,34 @@
-"""Speculative Write-Invalidation support tables (paper Section 4.1).
+"""Speculative Write-Invalidation support tables (paper Sections 4.1-4.2).
 
 SWI predicts that a processor has finished writing a memory block when
 the *same processor's next* write (or upgrade) request — to a different
-block — arrives at the directory.  The MSP keeps an early-write-
-invalidate table recording the block address of the last write request
-per processor; a hit advises the protocol to invalidate the writable
-copy early and forward the block to the predicted consumers.
+block — is issued.  The table of each processor's last write request
+lives on the requester side, in
+:meth:`repro.sim.machine.Machine.note_write_issued`: a home sees only
+the writes to its own blocks, so only the writer's node sees the next
+write to a block homed elsewhere.  That node sends a done-writing hint
+to the previous block's home, which may invalidate the writable copy
+early and forward the block to the predicted consumers.
 
 To prevent repeated premature invalidations, SWI keeps one bit per
 write/upgrade pattern-table entry recording that a previous speculative
 invalidation for that write was premature; suppressed entries no longer
-trigger (Section 4.2).
+trigger (Section 4.2).  Those bits belong to the home's pattern table,
+so they are all this module holds.
 """
 
 from __future__ import annotations
 
-from repro.common.types import BlockId, NodeId
+from repro.common.types import BlockId
 from repro.predictors.base import HistoryKey
 
 
 class EarlyWriteInvalidateTable:
-    """Last-written-block table plus per-pattern-entry suppression bits."""
+    """Per-pattern-entry suppression bits of one home's SWI predictor."""
 
     def __init__(self) -> None:
-        self._last_write: dict[NodeId, BlockId] = {}
         self._suppressed: set[tuple[BlockId, HistoryKey]] = set()
 
-    def record_write(self, writer: NodeId, block: BlockId) -> BlockId | None:
-        """Record a write request; return the SWI candidate block.
-
-        The candidate is the block this writer wrote *previously* — the
-        one SWI now believes the writer is done with.  Returns None when
-        there is no previous write or the writer re-wrote the same block
-        (a signal that the done-writing heuristic does not hold).
-        """
-        previous = self._last_write.get(writer)
-        self._last_write[writer] = block
-        if previous is None or previous == block:
-            return None
-        return previous
-
-    def last_write(self, writer: NodeId) -> BlockId | None:
-        return self._last_write.get(writer)
-
-    # ------------------------------------------------------------------
-    # premature-invalidation suppression
-    # ------------------------------------------------------------------
     def suppress(self, block: BlockId, history: HistoryKey) -> None:
         """Mark the write pattern entry as previously premature."""
         self._suppressed.add((block, history))

@@ -37,18 +37,6 @@ MAX_SWEEP_POINTS = 1024
 #: Reserved /v1/point query parameters (everything else is a point param).
 _TIMEOUT_PARAM = "_timeout_s"
 
-#: Runner kinds the service refuses to execute: ``selftest`` exists to
-#: exercise harness failure paths and can deliberately kill its host
-#: process (``behavior=crash``) — a remote client must not reach it.
-UNSERVABLE_KINDS = frozenset({"selftest"})
-
-#: How long a computed trace-entry count stays fresh in ``/statz``
-#: (counting is a directory scan; monitoring pollers shouldn't pay it
-#: on every request).  Point-entry counts no longer scan at all — the
-#: store maintains them incrementally; this TTL only covers the rare
-#: configuration where the trace dir is NOT the store's directory.
-_CACHE_COUNT_TTL_S = 5.0
-
 #: How stale the store's incremental entry counts may grow before a
 #: rescan, when claim coordination is active (peer replicas write into
 #: the shared cache dir behind this process's back).  Unclaimed
@@ -77,15 +65,6 @@ class ServiceApp:
         #: requires this key (``Authorization: Bearer`` or
         #: ``X-API-Key``); compared constant-time.
         self.api_key = api_key
-        #: Wall time this app came up, reported as a timestamp; uptime
-        #: is measured against the monotonic anchor (an NTP step must
-        #: never make uptime jump or go negative).
-        self.started_at = time.time()
-        self._started_monotonic = time.monotonic()
-        self._trace_count: tuple[float, int | None] | None = None
-
-    def servable_kinds(self) -> tuple[str, ...]:
-        return tuple(k for k in runner_kinds() if k not in UNSERVABLE_KINDS)
 
     # ------------------------------------------------------------------
     # routing
@@ -199,11 +178,12 @@ class ServiceApp:
     # health and stats
     # ------------------------------------------------------------------
     def _healthz(self, request: Request) -> Response:
+        stats = self.pool.stats
         return Response(
             payload={
                 "status": "ok",
-                "started_at": self.started_at,
-                "uptime_s": round(time.monotonic() - self._started_monotonic, 3),
+                "started_at": stats.started_at,
+                "uptime_s": stats.uptime_s,
             }
         )
 
@@ -238,14 +218,13 @@ class ServiceApp:
             "cache_dir": str(store.root) if store is not None else None,
             "cache_entries": self._count_cache_entries(claims_active=claims is not None),
         }
-        from repro.trace import configured_trace_dir
+        # Compiled traces live in the store's directory (see
+        # ReproService.__init__), so the store's counts cover them.
+        from repro.trace.cache import TRACE_KIND
 
-        trace_dir = configured_trace_dir()
         snapshot["trace_cache"].update(
-            {
-                "dir": trace_dir,
-                "entries": self._count_trace_entries(trace_dir),
-            }
+            dir=snapshot["runner"]["cache_dir"],
+            entries=None if store is None else store.entry_counts().get(TRACE_KIND, 0),
         )
         # Claim coordination (multi-replica deployments): held/stolen/
         # released counters, or null when this replica runs unclaimed.
@@ -281,38 +260,13 @@ class ServiceApp:
         )
         return sum(counts.get(kind, 0) for kind in runner_kinds())
 
-    def _count_trace_entries(self, trace_dir: str | None) -> int | None:
-        """Compiled traces on disk (``trace/`` entries only).
-
-        On the serve path the trace dir IS the store's directory (see
-        ``ReproService.__init__``), so the store's incremental counts
-        cover it for free; the amortized glob scan only survives for
-        the configuration where they differ.
-        """
-        if trace_dir is None:
-            return None
-        from repro.trace.cache import TRACE_KIND
-
-        store = self.pool.runner.store
-        if store is not None and str(store.root) == trace_dir:
-            return store.entry_counts().get(TRACE_KIND, 0)
-        now = time.monotonic()
-        if self._trace_count is None or now - self._trace_count[0] > _CACHE_COUNT_TTL_S:
-            from pathlib import Path
-
-            self._trace_count = (
-                now,
-                len(list(Path(trace_dir).glob(f"{TRACE_KIND}/*.json"))),
-            )
-        return self._trace_count[1]
-
     def _experiments(self, request: Request) -> Response:
         from repro.eval.experiments import experiment_catalog
 
         return Response(
             payload={
                 "experiments": experiment_catalog(),
-                "kinds": list(self.servable_kinds()),
+                "kinds": list(runner_kinds()),
             }
         )
 
@@ -374,10 +328,10 @@ class ServiceApp:
         kind = request.query.get("kind")
         if not kind:
             return error_response(400, "missing required query parameter 'kind'")
-        if kind not in self.servable_kinds():
+        if kind not in runner_kinds():
             return error_response(
                 400,
-                f"unknown kind {kind!r} (known: {', '.join(self.servable_kinds())})",
+                f"unknown kind {kind!r} (known: {', '.join(runner_kinds())})",
             )
         timeout_s: Any = None
         params: dict[str, Any] = {}
@@ -439,11 +393,11 @@ class ServiceApp:
         if not isinstance(body, dict):
             return error_response(400, "sweep body must be a JSON object")
         kind = body.get("kind")
-        if not isinstance(kind, str) or kind not in self.servable_kinds():
+        if not isinstance(kind, str) or kind not in runner_kinds():
             return error_response(
                 400,
                 "sweep body needs a known 'kind' "
-                f"(known: {', '.join(self.servable_kinds())})",
+                f"(known: {', '.join(runner_kinds())})",
             )
         axes = body.get("axes") or {}
         base = body.get("base") or {}

@@ -92,13 +92,17 @@ class ServiceStats:
     def point_requests(self) -> int:
         return self.hits + self.computes + self.coalesced
 
+    @property
+    def uptime_s(self) -> float:
+        return round(time.monotonic() - self.started_monotonic, 3)
+
     def snapshot(self, in_flight: int, queue_bound: int) -> dict[str, Any]:
         total = self.point_requests
         hit = sorted(self.hit_latencies_ms)
         compute = sorted(self.compute_latencies_ms)
         return {
             "started_at": self.started_at,
-            "uptime_s": round(time.monotonic() - self.started_monotonic, 3),
+            "uptime_s": self.uptime_s,
             "point_requests": total,
             "hits": self.hits,
             "computes": self.computes,

@@ -126,13 +126,12 @@ class ReproService:
                 jobs=self.config.jobs,
                 store=store,
             )
-        if self.runner.store is not None:
-            # Compiled traces share the point cache's directory; the
-            # runner's pool workers (thread or forked processes)
-            # inherit this configuration.
-            from repro.trace import configure_trace_cache
+        # Compiled traces share the point cache's directory, and no
+        # store means no trace cache, as with the CLI; the runner's pool
+        # workers (thread or forked processes) inherit this setting.
+        from repro.trace import configure_trace_cache
 
-            configure_trace_cache(self.runner.store.root)
+        configure_trace_cache(store.root if store is not None else None)
         self.pool = ComputePool(
             self.runner,
             max_pending=self.config.max_pending,

@@ -119,7 +119,8 @@ class Machine:
         #: per-request accounting neither formats a key string nor
         #: re-resolves the block set on every request.
         self._req_count_cache: dict[str, tuple[str, set[BlockId]]] = {}
-        self._last_write: dict[NodeId, BlockId] = {}
+        #: SWI's last-write table: the block each processor last wrote.
+        self._last_written: dict[NodeId, BlockId] = {}
         # Engines and nodes are built before homes so the home
         # directories can cache direct references to both.
         self._engines: list[SpeculationEngine] | None = None
@@ -205,13 +206,14 @@ class Machine:
         """Requester-side early-write-invalidate tracking (Section 4.1).
 
         The node's DSM hardware sees every outgoing write request of its
-        processor.  When the processor writes a *different* block than
-        last time, SWI predicts the previous block is dead and sends a
-        done-writing hint to that block's home, which may recall the
-        writable copy early.
+        processor (a home sees only the writes to its own blocks, so
+        this is the one last-write table).  When the processor writes a
+        *different* block than last time, SWI predicts the previous
+        block is dead and sends a done-writing hint to that block's
+        home, which may recall the writable copy early.
         """
-        previous = self._last_write.get(pid)
-        self._last_write[pid] = block
+        previous = self._last_written.get(pid)
+        self._last_written[pid] = block
         if not self._swi_hints:
             return
         if previous is None or previous == block:

@@ -28,6 +28,7 @@ import threading
 import time
 from typing import Any
 
+from repro.common.canonical import canonical_hash
 from repro.harness.spec import SweepPoint
 from repro.harness.store import MISS, ResultStore
 from repro.trace.compiled import CompiledTrace
@@ -173,13 +174,14 @@ def compile_app_trace(
     trace = emulator.compile(workload.block_scripts(), num_nodes=num_procs)
     if store is not None:
         _note(hit=False)
+        payload = trace.as_payload()
         try:
             store.store(
                 point,
-                trace.as_payload(),
+                payload,
                 elapsed_s=time.perf_counter() - started,
                 meta={
-                    "content_hash": trace.content_hash(),
+                    "content_hash": canonical_hash(payload),
                     "messages": len(trace),
                     "blocks": trace.block_count(),
                 },

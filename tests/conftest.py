@@ -1,6 +1,8 @@
-"""Shared fixtures and collection hooks for the reproduction's tests."""
+"""Shared fixtures, collection hooks and the test-only ``selftest`` kind."""
 
+import os
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,35 @@ if _REPO_ROOT not in sys.path:
     sys.path.insert(0, _REPO_ROOT)
 
 from repro.common.rng import DeterministicRng
+from repro.harness import register_runner
 from repro.protocol.epochs import BlockScript, ReadEpoch, WriteEpoch
+
+
+def run_selftest_point(params):
+    """Harness self-test kind, registered for the test suite only.
+
+    ``behavior`` selects the outcome: ``"ok"`` echoes ``payload`` along
+    with the worker pid, ``"error"`` raises, ``"crash"`` kills the
+    worker process outright (exercising the crash-surfacing path).
+    ``sleep_s`` delays the point — race tests (claim takeover, worker
+    interleaving) need points that take a controllable amount of time.
+    Forked sweep workers inherit the registration.
+    """
+    behavior = params.get("behavior", "ok")
+    if behavior == "crash":
+        os._exit(13)
+    if behavior == "error":
+        raise ValueError(f"selftest error: {params.get('payload')!r}")
+    delay = params.get("sleep_s")
+    if delay:
+        time.sleep(float(delay))
+    return {"echo": params.get("payload"), "pid": os.getpid()}
+
+
+try:
+    register_runner("selftest")(run_selftest_point)
+except ValueError:
+    pass  # already registered by a previous conftest import
 
 
 def pytest_collection_modifyitems(items):
@@ -31,8 +61,6 @@ def _isolate_trace_cache():
     that boots either would leave later tests silently reading a
     tmp-path cache directory.
     """
-    import os
-
     from repro.trace import cache
 
     saved = cache._configured

@@ -263,3 +263,29 @@ class TestSweepSubcommand:
                     str(tmp_path),
                 ]
             )
+
+
+class TestClaimOptionConflicts:
+    """Claims divide a grid through the shared cache, so both surfaces
+    refuse them with ``--refresh`` (every worker would recompute every
+    point) or ``--no-cache`` (no cache to share)."""
+
+    @pytest.mark.parametrize("flag", ["--refresh", "--no-cache"])
+    @pytest.mark.parametrize(
+        "surface",
+        [["sweep", "--kind", "analytic", "--axis", "panel=accuracy"], ["serve"]],
+        ids=["sweep", "serve"],
+    )
+    def test_claim_dir_conflict_exits_2(self, surface, flag, capsys, tmp_path):
+        argv = [
+            *surface,
+            "--cache-dir",
+            str(tmp_path / "cache"),
+            "--claim-dir",
+            str(tmp_path / "cache" / "claims"),
+            flag,
+        ]
+        with pytest.raises(SystemExit) as exited:
+            cli_main(argv)
+        assert exited.value.code == 2
+        assert "--claim-dir" in capsys.readouterr().err

@@ -9,15 +9,18 @@ import pytest
 
 from repro.apps.registry import APP_NAMES
 from repro.eval.experiments import (
+    _EXPERIMENT_SPECS,
     EXPERIMENTS,
     EXTRA_EXPERIMENTS,
     PAPER_EXPERIMENTS,
     SCALING_NODES,
     accuracy_spec,
     experiment_catalog,
+    experiment_spec,
     figure6,
     figure7,
     figure8,
+    run_experiment,
     scaling_spec,
     speculation_spec,
 )
@@ -54,6 +57,30 @@ class TestSpecs:
             p.key for p in scaling_spec(nodes=(16,)).points()
         }
         assert slice16 == figure9_keys
+
+
+class _GridHandedOver(Exception):
+    def __init__(self, points):
+        super().__init__(len(points))
+        self.points = points
+
+
+class _CapturingRunner:
+    """Raises with the points of the first grid it is handed."""
+
+    def run(self, spec):
+        raise _GridHandedOver(spec.points())
+
+
+class TestExperimentGrids:
+    @pytest.mark.parametrize("fast", [False, True], ids=["full", "fast"])
+    @pytest.mark.parametrize("name", sorted(_EXPERIMENT_SPECS))
+    def test_driver_runs_the_declared_grid(self, name, fast):
+        """Every driver runs exactly the grid :func:`experiment_spec`
+        declares, which is the grid the service's experiment job runs."""
+        with pytest.raises(_GridHandedOver) as handed:
+            run_experiment(name, fast=fast, runner=_CapturingRunner())
+        assert handed.value.points == experiment_spec(name, fast).points()
 
 
 class TestCatalog:

@@ -1,37 +1,85 @@
-"""Tests for the early-write-invalidate table."""
+"""Tests for SWI's early-write-invalidate table (Sections 4.1-4.2).
 
+Its last-write half is kept per requester by
+``Machine.note_write_issued``; its suppression bits per home by
+``EarlyWriteInvalidateTable``.
+"""
+
+import pytest
+
+from repro.apps.base import WorkloadBuilder
+from repro.common.config import SystemConfig
 from repro.predictors.swi import EarlyWriteInvalidateTable
+from repro.sim.address import AddressSpace
+from repro.sim.machine import Machine, MachineMode
+
+NODES = 4
 
 
-class TestEwiTable:
-    def test_first_write_has_no_candidate(self):
-        table = EarlyWriteInvalidateTable()
-        assert table.record_write(writer=3, block=100) is None
+@pytest.fixture
+def blocks():
+    """One block homed on each node."""
+    space = AddressSpace(NODES)
+    return [space.alloc_one(home) for home in range(NODES)]
 
-    def test_next_write_returns_previous_block(self):
-        table = EarlyWriteInvalidateTable()
-        table.record_write(3, 100)
-        assert table.record_write(3, 101) == 100
 
-    def test_rewrite_of_same_block_is_not_a_candidate(self):
-        table = EarlyWriteInvalidateTable()
-        table.record_write(3, 100)
-        assert table.record_write(3, 100) is None
+def recording_machine(mode, monkeypatch):
+    """A machine whose ``net.send_call`` records instead of sending."""
+    builder = WorkloadBuilder("idle", NODES)
+    with builder.phase("idle"):
+        pass
+    machine = Machine(builder.finish(), config=SystemConfig(num_nodes=NODES), mode=mode)
+    sent = []
+    monkeypatch.setattr(machine.net, "send_call", lambda *args: sent.append(args))
+    return machine, sent
+
+
+def recalls(machine, sent):
+    """``(writer, home, recalled block)`` per recorded hint."""
+    out = []
+    for src, dst, handler, hint in sent:
+        assert hint.kind == "swi-recall" and hint.requester == src
+        assert dst == machine.home_of(hint.block)
+        assert handler == machine.home(dst).request
+        out.append((src, dst, hint.block))
+    return out
+
+
+class TestLastWriteTracker:
+    def test_first_write_sends_no_hint(self, monkeypatch, blocks):
+        machine, sent = recording_machine(MachineMode.SWI, monkeypatch)
+        machine.note_write_issued(3, blocks[1])
+        assert sent == []
+
+    def test_write_to_a_new_block_recalls_the_previous_one(self, monkeypatch, blocks):
+        machine, sent = recording_machine(MachineMode.SWI, monkeypatch)
+        machine.note_write_issued(3, blocks[1])
+        machine.note_write_issued(3, blocks[2])
+        assert recalls(machine, sent) == [(3, 1, blocks[1])]
+
+    def test_rewrite_of_same_block_sends_no_hint(self, monkeypatch, blocks):
+        machine, sent = recording_machine(MachineMode.SWI, monkeypatch)
+        machine.note_write_issued(3, blocks[1])
+        machine.note_write_issued(3, blocks[1])
+        assert sent == []
         # The heuristic resumes on the next distinct write.
-        assert table.record_write(3, 101) == 100
+        machine.note_write_issued(3, blocks[2])
+        assert recalls(machine, sent) == [(3, 1, blocks[1])]
 
-    def test_writers_are_tracked_independently(self):
-        table = EarlyWriteInvalidateTable()
-        table.record_write(1, 10)
-        table.record_write(2, 20)
-        assert table.record_write(1, 11) == 10
-        assert table.record_write(2, 21) == 20
+    def test_writers_are_tracked_independently(self, monkeypatch, blocks):
+        machine, sent = recording_machine(MachineMode.SWI, monkeypatch)
+        machine.note_write_issued(1, blocks[0])
+        machine.note_write_issued(2, blocks[3])
+        assert sent == []
+        machine.note_write_issued(1, blocks[2])
+        machine.note_write_issued(2, blocks[1])
+        assert recalls(machine, sent) == [(1, 0, blocks[0]), (2, 3, blocks[3])]
 
-    def test_last_write_lookup(self):
-        table = EarlyWriteInvalidateTable()
-        table.record_write(1, 42)
-        assert table.last_write(1) == 42
-        assert table.last_write(9) is None
+    def test_fr_machine_sends_no_hint(self, monkeypatch, blocks):
+        machine, sent = recording_machine(MachineMode.FR, monkeypatch)
+        for block in blocks:
+            machine.note_write_issued(3, block)
+        assert sent == []
 
 
 class TestSuppression:

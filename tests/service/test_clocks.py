@@ -41,10 +41,14 @@ def test_healthz_uptime_survives_wall_clock_step(wall_clock_jumped_backwards):
     try:
         pool = ComputePool(runner)
         app = ServiceApp(pool, JobTable(pool))
-        app._started_monotonic -= 42.0
+        pool.stats.started_monotonic -= 42.0
         payload = app._healthz(None).payload
         assert payload["uptime_s"] == pytest.approx(42.0, abs=0.5)
         assert payload["uptime_s"] > 0
+        # /healthz and /statz report from one start clock
+        statz = app._statz(None).payload
+        assert payload["started_at"] == statz["started_at"]
+        assert statz["uptime_s"] == pytest.approx(payload["uptime_s"], abs=0.5)
     finally:
         runner.close()
 

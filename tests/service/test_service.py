@@ -2,9 +2,14 @@
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.eval.cli import main as cli_main
 from repro.harness import ParallelRunner, ResultStore
 from repro.service import ReproService, ServiceConfig
@@ -227,28 +232,27 @@ class TestPointEndpoint:
 
         run_with_service(tmp_path, scenario)
 
-    def test_selftest_kind_is_not_servable(self, tmp_path):
-        """selftest can deliberately crash its host (behavior=crash);
-        no HTTP client may reach it."""
-
-        async def scenario(service):
-            status, body = await http_request(
-                service.port, "/v1/point?kind=selftest&behavior=crash"
-            )
-            assert status == 400 and "selftest" not in body["error"].split("known: ")[1]
-            status, _ = await http_request(
-                service.port,
-                "/v1/sweep",
-                method="POST",
-                body={"kind": "selftest", "axes": {"payload": [1]}},
-            )
-            assert status == 400
-            status, catalog = await http_request(service.port, "/v1/experiments")
-            assert "selftest" not in catalog["kinds"]
-            # and the server is demonstrably still alive:
-            assert (await http_request(service.port, "/healthz"))[0] == 200
-
-        run_with_service(tmp_path, scenario)
+    def test_production_process_registers_only_paper_kinds(self):
+        """Only the test suite registers ``selftest`` (whose
+        ``behavior=crash`` kills its host process): a fresh interpreter
+        that imports the service and the CLI can run and serve nothing
+        but the paper's kinds."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        code = (
+            "import repro.service, repro.eval.cli\n"
+            "from repro.harness import runner_kinds\n"
+            "print(' '.join(runner_kinds()))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        kinds = tuple(done.stdout.split())
+        assert kinds == ("accuracy", "analytic", "speculation")
 
     def test_bad_requests_are_400(self, tmp_path):
         async def scenario(service):
@@ -483,6 +487,26 @@ class TestTraceCacheStats:
 
         run_with_service(tmp_path, scenario)
 
+    def test_no_store_means_no_trace_cache(self, tmp_path, monkeypatch):
+        """``serve --no-cache`` turns the trace cache off as ``sweep
+        --no-cache`` does, whatever REPRO_TRACE_CACHE says."""
+        from repro.trace import cache as trace_cache
+
+        env_dir = tmp_path / "env-traces"
+        monkeypatch.setattr(trace_cache, "_configured", trace_cache._UNSET)
+        monkeypatch.setenv(trace_cache.TRACE_CACHE_ENV, str(env_dir))
+
+        async def scenario(service):
+            target = "/v1/point?kind=accuracy&app=em3d&num_procs=4&iterations=2"
+            status, body = await http_request(service.port, target)
+            assert status == 200 and body["cached"] is False
+            status, stats = await http_request(service.port, "/statz")
+            assert stats["trace_cache"]["dir"] is None
+            assert stats["trace_cache"]["entries"] is None
+
+        run_with_service(tmp_path, scenario, cache_dir=None)
+        assert not list(env_dir.glob("**/*.json"))
+
     def test_point_entry_records_trace_provenance(self, tmp_path):
         async def scenario(service):
             target = (
@@ -504,6 +528,17 @@ class TestTraceCacheStats:
 
 
 class TestClaimedService:
+    @pytest.mark.parametrize(
+        "conflict", [{"refresh": True}, {"cache_dir": None}], ids=["refresh", "no-cache"]
+    )
+    def test_claims_need_the_cache_unrefreshed(self, tmp_path, conflict):
+        """Claims divide a grid through the shared cache: every replica
+        recomputing every point (refresh), or a replica with no cache
+        to share, defeats them."""
+        config = service_config(tmp_path, claim_dir=str(tmp_path / "claims"), **conflict)
+        with pytest.raises(ValueError):
+            ReproService(config)
+
     def test_statz_claims_null_without_claim_dir(self, tmp_path):
         async def scenario(service):
             status, stats = await http_request(service.port, "/statz")

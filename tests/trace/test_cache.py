@@ -100,8 +100,18 @@ class TestCacheBehavior:
             )
         assert first.content_hash() == second.content_hash()
 
-    def test_entry_records_content_hash(self, cache_dir):
+    def test_entry_records_content_hash(self, cache_dir, monkeypatch):
+        encodes = []
+        as_payload = CompiledTrace.as_payload
+
+        def counting(self):
+            encodes.append(self)
+            return as_payload(self)
+
+        monkeypatch.setattr(CompiledTrace, "as_payload", counting)
         trace = compile_app_trace("ocean", num_procs=8, iterations=3)
+        # A miss encodes its columns once, for the entry and its hash.
+        assert len(encodes) == 1
         point = trace_point("ocean", 8, 3, 1999, 7)
         entry = trace_store().load_entry(point)
         assert entry is not MISS
