@@ -57,12 +57,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.harness.runner import (
-    ParallelRunner,
-    PointOutcome,
-    SweepError,
-    _resolved,
-)
+from repro.harness.runner import ParallelRunner, PointOutcome, SweepError
 from repro.harness.spec import SweepPoint
 from repro.harness.store import ResultStore
 
@@ -446,9 +441,9 @@ class ClaimedRunner(ParallelRunner):
 
     ``store`` is required — it is the cache the workers share — and
     ``claims`` is canonically over ``<cache-dir>/claims/``.  Only the
-    step that submits a miss differs from the parent class, so
-    :meth:`run`, :meth:`submit_point`, the CLI, the experiment functions
-    and the HTTP service all go through the claim protocol.
+    step that submits a miss (:meth:`submit_miss`) differs from the
+    parent class, so :meth:`run`, the CLI, the experiment functions and
+    the HTTP service all go through the claim protocol.
 
     A worker claims a point only while one of its ``jobs`` compute
     slots is free: a miss is claimed on the calling thread when a slot
@@ -508,7 +503,7 @@ class ClaimedRunner(ParallelRunner):
         """
         return self.store.key_for(point)
 
-    def _submit_miss(self, point: SweepPoint) -> "Future[PointOutcome]":
+    def submit_miss(self, point: SweepPoint) -> "Future[PointOutcome]":
         """A future of a missing ``point``'s outcome, computed by *someone*.
 
         Duplicate keys share one pending entry.  A miss is claimed and
@@ -560,9 +555,10 @@ class ClaimedRunner(ParallelRunner):
         # the point between our miss and our claim.
         cached = self.cached_outcome(point)
         if cached is None:
-            inner = super()._submit_miss(point)
+            inner = super().submit_miss(point)
         else:
-            inner = _resolved(cached)
+            inner = Future()
+            inner.set_result(cached)
         inner.add_done_callback(functools.partial(self._finish, key))
 
     def _finish(self, key: str, inner: "Future[PointOutcome]") -> None:

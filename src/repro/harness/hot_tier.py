@@ -87,8 +87,8 @@ class HotTier:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: Entries dropped because their backing file changed (validate
-        #: mode) or because the store discarded/overwrote them.
+        #: Entries dropped because their backing file changed or vanished
+        #: (validate mode).
         self.invalidations = 0
 
     # ------------------------------------------------------------------
@@ -106,10 +106,10 @@ class HotTier:
         """The resident entry for ``key``, or None (a tier miss).
 
         A hit refreshes LRU recency and is returned with ``hot=True`` so
-        callers (``/statz``, sweep reports) can attribute it.  In
-        validate mode a hit whose backing file stamp changed — or whose
-        file vanished — is dropped and reported as a miss, so the next
-        load re-reads the cold tier.
+        callers can tell a memory hit from a disk read.  In validate
+        mode a hit whose backing file stamp changed — or whose file
+        vanished — is dropped and reported as a miss, so the next load
+        re-reads the cold tier.
         """
         with self._lock:
             slot = self._slots.get(key)
@@ -146,20 +146,6 @@ class HotTier:
                 evicted, slot = self._slots.popitem(last=False)
                 self._bytes -= slot.nbytes
                 self.evictions += 1
-
-    def invalidate(self, key: str) -> None:
-        """Drop ``key`` if resident (a discarded or overwritten entry)."""
-        with self._lock:
-            if key in self._slots:
-                self._drop(key)
-                self.invalidations += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            dropped = len(self._slots)
-            self._slots.clear()
-            self._bytes = 0
-            self.invalidations += dropped
 
     def _drop(self, key: str) -> None:
         """Remove ``key`` unconditionally; caller holds the lock."""

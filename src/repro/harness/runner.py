@@ -5,18 +5,18 @@ Every sweep point is bit-deterministic — all randomness flows from
 parameters — so points can run in any process, in any order, and the
 assembled results are identical to a serial run.
 
-A :class:`ParallelRunner` gets a point to a worker one way only:
-:meth:`~ParallelRunner.submit_point` answers a cache hit at once and
-sends a miss to the runner's pool — one background thread at
-``jobs=1``, ``jobs`` forked worker processes otherwise — returning a
+A :class:`ParallelRunner` reads a point once and gets a miss to a
+worker one way only: :meth:`~ParallelRunner.cached_outcome` reads the
+store, and :meth:`~ParallelRunner.submit_miss` sends a point it missed
+to the runner's pool — one background thread at ``jobs=1``, ``jobs``
+forked worker processes otherwise — returning a
 :class:`concurrent.futures.Future`.  Batch :meth:`~ParallelRunner.run`
 dedupes a grid, reads its cache hits on the calling thread, submits the
-misses to the same pool without reading them again
-(longest-predicted-first when several workers share the pool), waits
-for all of them and returns the results in grid order.  The HTTP
-service front-end (:mod:`repro.service`) drives ``submit_point``
-directly: an event loop submits points as requests arrive and awaits
-their futures instead of blocking on a whole grid.
+misses (longest-predicted-first when several workers share the pool),
+waits for all of them and returns the results in grid order.  The HTTP
+service front-end (:mod:`repro.service`) drives the same two calls: an
+event loop submits misses as requests arrive and awaits their futures
+instead of blocking on a whole grid.
 """
 
 from __future__ import annotations
@@ -65,9 +65,6 @@ class SweepReport:
     #: Compiled-trace cache events observed by freshly executed points.
     trace_hits: int = 0
     trace_misses: int = 0
-    #: Cache hits served from the in-memory hot tier (a subset of
-    #: ``cached``; zero when the store has no tier attached).
-    hot_hits: int = 0
 
     @property
     def total(self) -> int:
@@ -79,8 +76,6 @@ class SweepReport:
         if outcome.cached:
             self.cached += 1
             self.saved_seconds += elapsed
-            if outcome.hot:
-                self.hot_hits += 1
             return
         self.executed += 1
         self.executed_seconds += elapsed
@@ -102,8 +97,6 @@ class SweepReport:
             parts.append(
                 f"trace cache {self.trace_hits}h/{self.trace_misses}m"
             )
-        if self.hot_hits:
-            parts.append(f"hot tier {self.hot_hits}h")
         return "; ".join(parts)
 
 
@@ -143,16 +136,6 @@ class PointOutcome:
     #: for cache hits — a cached point never compiles anything).
     trace_hits: int = 0
     trace_misses: int = 0
-    #: True when a cached value was served from the in-memory hot tier
-    #: (no filesystem I/O beyond at most one validating ``stat``).
-    hot: bool = False
-
-
-def _resolved(outcome: PointOutcome) -> "Future[PointOutcome]":
-    """An already completed future of ``outcome``."""
-    done: Future[PointOutcome] = Future()
-    done.set_result(outcome)
-    return done
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -166,14 +149,6 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _fork_context() -> multiprocessing.context.BaseContext | None:
-    if "fork" in multiprocessing.get_all_start_methods():
-        # fork keeps runner kinds registered by the calling process
-        # (e.g. in tests) visible to the workers.
-        return multiprocessing.get_context("fork")
-    return None
-
-
 class ParallelRunner:
     """Executes sweeps with caching over one persistent worker pool.
 
@@ -184,7 +159,7 @@ class ParallelRunner:
     * ``refresh`` — recompute every point and overwrite the cache.
 
     The pool is created by the first cache miss and reused by every
-    later :meth:`run` and :meth:`submit_point` until :meth:`close` (the
+    later :meth:`run` and :meth:`submit_miss` until :meth:`close` (the
     runner is also a context manager).  With several workers,
     :meth:`run` submits its misses longest-predicted-first, using wall
     times the store recorded for the same point, the same app, or the
@@ -229,7 +204,7 @@ class ParallelRunner:
             # longest first; sort() is stable, so ties keep grid order
             predicted = dict(zip(misses, self.predicted_durations(misses)))
             misses.sort(key=lambda point: -predicted[point])
-        futures = {point: self._submit_miss(point) for point in misses}
+        futures = {point: self.submit_miss(point) for point in misses}
         wait(futures.values())
 
         report = SweepReport(jobs=self.jobs)
@@ -316,31 +291,20 @@ class ParallelRunner:
         if entry is MISS:
             return None
         return PointOutcome(
-            value=entry.result,
-            elapsed_s=entry.elapsed_s,
-            cached=True,
-            hot=entry.hot,
+            value=entry.result, elapsed_s=entry.elapsed_s, cached=True
         )
 
-    def submit_point(self, point: SweepPoint) -> "Future[PointOutcome]":
-        """Submit one point for execution; returns a future of its outcome.
+    def submit_miss(self, point: SweepPoint) -> "Future[PointOutcome]":
+        """Run a point the caller found missing from the store (it is
+        not read again here); returns a future of its outcome.
 
-        Cache hits resolve immediately without touching the pool.  On a
-        miss the point runs on the pool and the result (with its wall
-        time) is written back to the store before the future resolves,
-        so a concurrent batch run or another service replica sharing the
+        The point runs on the pool and the result (with its wall time)
+        is written back to the store before the future resolves, so a
+        concurrent batch run or another service replica sharing the
         cache dir sees it.  On the thread pool the point runs in a copy
         of the caller's :mod:`contextvars` context, as
         :func:`asyncio.to_thread` does.
         """
-        cached = self.cached_outcome(point)
-        if cached is not None:
-            return _resolved(cached)
-        return self._submit_miss(point)
-
-    def _submit_miss(self, point: SweepPoint) -> "Future[PointOutcome]":
-        """:meth:`submit_point` for a point the caller just found
-        missing from the store, so it is not read again here."""
         context = contextvars.copy_context()
         call = (execute_point_instrumented, point.kind, point.as_dict())
         if self.jobs == 1:
@@ -404,9 +368,11 @@ class ParallelRunner:
         with self._pool_lock:
             if self._pool is None:
                 if self.jobs > 1:
+                    # fork keeps runner kinds registered by the calling
+                    # process (e.g. in tests) visible to the workers.
                     self._pool = ProcessPoolExecutor(
                         max_workers=self.jobs,
-                        mp_context=_fork_context(),
+                        mp_context=multiprocessing.get_context("fork"),
                     )
                 else:
                     self._pool = ThreadPoolExecutor(

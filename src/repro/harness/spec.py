@@ -104,15 +104,13 @@ class SweepSpec:
     * ``base``   — parameters shared by every point,
     * ``derive`` — optional per-point hook returning extra parameters
       computed from the cell (e.g. per-app iteration counts); applied at
-      expansion time, so workers only ever see concrete parameters,
-    * ``where``  — optional predicate to drop cells from a ragged grid.
+      expansion time, so workers only ever see concrete parameters.
     """
 
     kind: str
     axes: Mapping[str, Sequence[Any]] = field(default_factory=dict)
     base: Mapping[str, Any] = field(default_factory=dict)
     derive: Callable[[dict[str, Any]], Mapping[str, Any]] | None = None
-    where: Callable[[dict[str, Any]], bool] | None = None
 
     def points(self) -> list[SweepPoint]:
         """Expand the grid into concrete sweep points."""
@@ -124,8 +122,6 @@ class SweepSpec:
         for combo in itertools.product(*(self.axes[name] for name in names)):
             params: dict[str, Any] = dict(self.base)
             params.update(zip(names, combo))
-            if self.where is not None and not self.where(dict(params)):
-                continue
             if self.derive is not None:
                 params.update(self.derive(dict(params)))
             out.append(SweepPoint.make(self.kind, params))

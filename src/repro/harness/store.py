@@ -25,11 +25,10 @@ as misses and overwritten.
 A store can be fronted by an in-process
 :class:`~repro.harness.hot_tier.HotTier`: ``load_entry``/``load``
 consult memory first and fall through to the disk (the shared cold
-tier) only on a tier miss; writes populate the tier; ``discard`` and
-``clear`` invalidate it.  Misses are deliberately **never** cached —
-the claim protocol polls the store waiting for entries peer replicas
-are about to write, and a negative cache would turn that wait into a
-livelock.
+tier) only on a tier miss; writes populate the tier.  Misses are
+deliberately **never** cached — the claim protocol polls the store
+waiting for entries peer replicas are about to write, and a negative
+cache would turn that wait into a livelock.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
-import time
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -107,11 +104,6 @@ class ResultStore:
         }
         if fingerprint:
             self.fingerprint.update(fingerprint)
-        #: Incrementally maintained per-kind entry counts (None until
-        #: the first :meth:`entry_counts` call scans the directory).
-        self._counts: dict[str, int] | None = None
-        self._counts_scanned_at: float | None = None
-        self._counts_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # addressing
@@ -227,10 +219,6 @@ class ResultStore:
             body = json.dumps(entry, sort_keys=True, separators=(",", ":"))
         else:
             body = json.dumps(entry, sort_keys=True, indent=1)
-        # One stat before the atomic replace keeps the incremental
-        # per-kind entry counts exact without ever rescanning; skipped
-        # entirely until the first entry_counts() call asks for them.
-        fresh_file = self._counts is not None and not path.exists()
         fd, tmp_name = tempfile.mkstemp(
             prefix=f".{path.stem}.", suffix=".tmp", dir=path.parent
         )
@@ -244,10 +232,6 @@ class ResultStore:
             except OSError:
                 pass
             raise
-        if fresh_file:
-            with self._counts_lock:
-                if self._counts is not None:
-                    self._counts[point.kind] = self._counts.get(point.kind, 0) + 1
         if self.hot_tier is not None:
             self.hot_tier.put(
                 f"{point.kind}/{path.stem}",
@@ -261,78 +245,29 @@ class ResultStore:
             )
         return path
 
-    def discard(self, point: SweepPoint) -> None:
-        path = self.path_for(point)
-        if self.hot_tier is not None:
-            self.hot_tier.invalidate(f"{point.kind}/{path.stem}")
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            return
-        with self._counts_lock:
-            if self._counts is not None and self._counts.get(point.kind, 0) > 0:
-                self._counts[point.kind] -= 1
-
     # ------------------------------------------------------------------
-    # maintenance
+    # counting
     # ------------------------------------------------------------------
-    def _entries(self) -> list[Path]:
-        if not self.root.is_dir():
-            return []
-        return sorted(self.root.glob("*/*.json"))
+    def entry_counts(self) -> dict[str, int]:
+        """Entries on disk per kind directory, across *all* fingerprints.
 
-    def __len__(self) -> int:
-        """Cached entries on disk (across *all* fingerprints)."""
-        return len(self._entries())
-
-    def entry_counts(self, max_age_s: float | None = None) -> dict[str, int]:
-        """Per-kind entry counts without a scan on the serving path.
-
-        The directory is scanned **once** (lazily, on the first call);
-        afterwards this process's own writes and discards keep the
-        counts exact incrementally, so ``/statz`` and ``/metrics`` never
-        pay an ``os.scandir`` per poll however large the cache grows.
-        Entries written by *other* processes (peer replicas, concurrent
-        CLI sweeps) are only picked up by a rescan — pass ``max_age_s``
-        to bound that staleness when the cache dir is shared.
+        Scans the directory on every call, so writes by other processes
+        (peer replicas, CLI sweeps) and by other stores over the same
+        root (the compiled-trace cache) count as soon as they land.
         """
-        now = time.monotonic()
-        with self._counts_lock:
-            stale = (
-                self._counts is None
-                or (
-                    max_age_s is not None
-                    and self._counts_scanned_at is not None
-                    and now - self._counts_scanned_at > max_age_s
-                )
-            )
-            if not stale:
-                assert self._counts is not None
-                return dict(self._counts)
         counts: dict[str, int] = {}
         if self.root.is_dir():
             for kind_dir in self.root.iterdir():
                 if not kind_dir.is_dir():
                     continue
-                total = sum(1 for p in kind_dir.glob("*.json"))
+                total = sum(1 for _ in kind_dir.glob("*.json"))
                 if total:
                     counts[kind_dir.name] = total
-        with self._counts_lock:
-            self._counts = counts
-            self._counts_scanned_at = now
-            return dict(self._counts)
+        return counts
 
-    def clear(self) -> int:
-        """Delete every cached entry; returns how many were removed."""
-        entries = self._entries()
-        for path in entries:
-            path.unlink()
-        if self.hot_tier is not None:
-            self.hot_tier.clear()
-        with self._counts_lock:
-            if self._counts is not None:
-                self._counts = {}
-        return len(entries)
+    def __len__(self) -> int:
+        """Cached entries on disk (across *all* fingerprints)."""
+        return sum(self.entry_counts().values())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ResultStore(root={str(self.root)!r}, entries={len(self)})"

@@ -37,12 +37,6 @@ MAX_SWEEP_POINTS = 1024
 #: Reserved /v1/point query parameters (everything else is a point param).
 _TIMEOUT_PARAM = "_timeout_s"
 
-#: How stale the store's incremental entry counts may grow before a
-#: rescan, when claim coordination is active (peer replicas write into
-#: the shared cache dir behind this process's back).  Unclaimed
-#: replicas are the only writer and never rescan.
-_SHARED_CACHE_RESCAN_S = 60.0
-
 #: Endpoints that bypass API-key auth: liveness probes (load balancers,
 #: Kubernetes) cannot carry credentials.
 AUTH_EXEMPT_PATHS = frozenset({"/healthz"})
@@ -212,19 +206,28 @@ class ServiceApp:
         # these checks must be identity checks, not truthiness.
         store = runner.store
         claims = getattr(runner, "claims", None)
+        # One directory scan sees every writer: peer replicas, CLI
+        # sweeps, the trace cache's own store.  Only registered kinds
+        # hold point results; compiled traces (``trace/``) count in
+        # ``trace_cache``, and other subdirectories not at all.
+        counts = store.entry_counts() if store is not None else None
         snapshot["runner"] = {
             "jobs": runner.jobs,
             "pool_started": runner.pool_started,
             "cache_dir": str(store.root) if store is not None else None,
-            "cache_entries": self._count_cache_entries(claims_active=claims is not None),
+            "cache_entries": (
+                None
+                if counts is None
+                else sum(counts.get(kind, 0) for kind in runner_kinds())
+            ),
         }
         # Compiled traces live in the store's directory (see
-        # ReproService.__init__), so the store's counts cover them.
+        # ReproService.__init__).
         from repro.trace.cache import TRACE_KIND
 
         snapshot["trace_cache"].update(
             dir=snapshot["runner"]["cache_dir"],
-            entries=None if store is None else store.entry_counts().get(TRACE_KIND, 0),
+            entries=None if counts is None else counts.get(TRACE_KIND, 0),
         )
         # Claim coordination (multi-replica deployments): held/stolen/
         # released counters, or null when this replica runs unclaimed.
@@ -236,29 +239,6 @@ class ServiceApp:
             else None
         )
         return snapshot
-
-    def _count_cache_entries(self, claims_active: bool) -> int | None:
-        """Point entries in the store, from its incremental counts.
-
-        The store scans its directory exactly once and maintains the
-        counts on every write/discard, so this is a dict sum — the
-        periodic ``os.scandir`` the old implementation paid per poll is
-        gone.  With claim coordination active, peer replicas also write
-        into the cache dir, so the counts are allowed to refresh via a
-        bounded-staleness rescan; unclaimed replicas are the sole
-        writer and never rescan.  Only registered point kinds count:
-        compiled traces (``trace/``) share the directory but are
-        inputs, counted separately in ``trace_cache``, and any other
-        subdirectory (claims, or a storage kind an older build wrote)
-        holds no point results.
-        """
-        store = self.pool.runner.store
-        if store is None:
-            return None
-        counts = store.entry_counts(
-            max_age_s=_SHARED_CACHE_RESCAN_S if claims_active else None
-        )
-        return sum(counts.get(kind, 0) for kind in runner_kinds())
 
     def _experiments(self, request: Request) -> Response:
         from repro.eval.experiments import experiment_catalog
@@ -333,7 +313,7 @@ class ServiceApp:
                 400,
                 f"unknown kind {kind!r} (known: {', '.join(runner_kinds())})",
             )
-        timeout_s: Any = None
+        timeout_s: float | None = None
         params: dict[str, Any] = {}
         for name, raw in request.query.items():
             if name == "kind":
@@ -352,11 +332,8 @@ class ServiceApp:
         except (TypeError, ValueError) as exc:
             return error_response(400, f"invalid point parameters: {exc}")
 
-        fetch_kwargs: dict[str, Any] = {}
-        if timeout_s is not None:
-            fetch_kwargs["timeout_s"] = timeout_s
         try:
-            outcome = await self.pool.fetch(point, **fetch_kwargs)
+            outcome = await self.pool.fetch(point, timeout_s=timeout_s)
         except PoolSaturated as exc:
             return error_response(
                 429, str(exc), retry_after_s=self._retry_after_s()

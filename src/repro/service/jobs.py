@@ -7,10 +7,10 @@ sweep-point value:
    request awaits the existing computation; N concurrent requests for
    one point trigger exactly one execution.
 2. **Cache** — the :class:`~repro.harness.ResultStore` is consulted
-   inline (a single local-disk JSON read); hits return without ever
-   touching the runner.
+   inline, once (:meth:`~repro.harness.ParallelRunner.cached_outcome`);
+   hits return without ever touching the runner's pool.
 3. **Compute** — misses are submitted to the runner's pool
-   (:meth:`~repro.harness.ParallelRunner.submit_point`), bounded by
+   (:meth:`~repro.harness.ParallelRunner.submit_miss`), bounded by
    ``max_pending``; beyond the bound new computations are refused
    (:class:`PoolSaturated` → HTTP 429).  Requests carry a timeout
    (:class:`PointTimeout` → HTTP 504) but a timed-out computation keeps
@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.harness import ParallelRunner, PointOutcome, SweepError, SweepPoint
-
-_UNSET = object()
 
 
 class PoolSaturated(Exception):
@@ -166,14 +164,14 @@ class ComputePool:
         point: SweepPoint,
         *,
         wait: bool = False,
-        timeout_s: Any = _UNSET,
+        timeout_s: float | None = None,
     ) -> PointOutcome:
         """The outcome for ``point``: cached, coalesced, or computed.
 
-        ``wait=True`` (background jobs) skips the saturation check —
-        such callers throttle themselves and prefer queueing in-process
-        over a 429.  ``timeout_s`` overrides the pool default; ``None``
-        waits indefinitely.
+        ``wait=True`` (background jobs) skips the saturation check and
+        the timeout — such callers throttle themselves and prefer
+        queueing in-process over a 429 or a 504.  Otherwise
+        ``timeout_s``, when given, overrides the pool default.
         """
         started = time.perf_counter()
         key = f"{point.kind}/{point.key}"
@@ -195,7 +193,10 @@ class ComputePool:
         else:
             self.stats.coalesced += 1
 
-        timeout = self.timeout_s if timeout_s is _UNSET else timeout_s
+        if wait:
+            timeout = None
+        else:
+            timeout = self.timeout_s if timeout_s is None else timeout_s
         try:
             return await asyncio.wait_for(asyncio.shield(task), timeout)
         except asyncio.TimeoutError:
@@ -208,7 +209,7 @@ class ComputePool:
     async def _compute(self, key: str, point: SweepPoint) -> PointOutcome:
         started = time.perf_counter()
         try:
-            future = self.runner.submit_point(point)
+            future = self.runner.submit_miss(point)
             outcome = await asyncio.wrap_future(future)
             wall = time.perf_counter() - started
             if outcome.cached:
@@ -348,7 +349,7 @@ class JobTable:
 
         async def one(index: int, point: SweepPoint) -> None:
             async with semaphore:
-                outcome = await self.pool.fetch(point, wait=True, timeout_s=None)
+                outcome = await self.pool.fetch(point, wait=True)
             job.results[index] = outcome.value
             job.done += 1
             job.cached += 1 if outcome.cached else 0

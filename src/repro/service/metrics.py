@@ -237,7 +237,8 @@ def render_metrics(snapshot: dict[str, Any]) -> str:
         w.family(
             "repro_hot_tier_invalidations_total",
             "counter",
-            "Hot-tier entries dropped by discard/overwrite/validation.",
+            "Hot-tier entries dropped because their backing file changed "
+            "or vanished (validate mode).",
         )
         w.sample("repro_hot_tier_invalidations_total", hot.get("invalidations", 0))
         w.family("repro_hot_tier_entries", "gauge", "Entries resident in the hot tier.")

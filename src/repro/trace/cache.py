@@ -12,10 +12,9 @@ entry metadata (entry format v3).
 
 The cache is configured process-wide — :func:`configure_trace_cache` is
 called by the CLI and the HTTP service when they build a cached runner —
-and is inherited by forked sweep workers; the ``REPRO_TRACE_CACHE``
-environment variable seeds the configuration for spawned or external
-processes.  Hit/miss counters are process-local and are harvested
-around each sweep-point execution
+and is inherited by forked sweep workers; until something configures
+it, the cache is off.  Hit/miss counters are process-local and are
+harvested around each sweep-point execution
 (:func:`repro.harness.runners.execute_point_instrumented`), which is
 how per-point trace-cache provenance reaches ``ResultStore`` entries,
 sweep reports, and the service's ``/statz``.
@@ -26,7 +25,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Any
 
 from repro.common.canonical import canonical_hash
 from repro.harness.spec import SweepPoint
@@ -38,18 +36,13 @@ from repro.trace.compiled import CompiledTrace
 #: for it, so it can never be executed (or served) as a sweep point.
 TRACE_KIND = "trace"
 
-#: Environment fallback for the cache directory (workers spawned
-#: without inheriting this process's configuration read it).
-TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"
-
 #: Bumped when the trace payload layout changes; keys every trace entry
 #: so old payloads simply miss instead of mis-decoding.  Schema 2 stores
 #: each column as base64 of its raw little-endian bytes (schema 1 held
 #: JSON int lists).
 TRACE_SCHEMA = 2
 
-_UNSET = object()
-_configured: Any = _UNSET
+_configured: str | None = None
 _lock = threading.Lock()
 _hits = 0
 _misses = 0
@@ -59,26 +52,15 @@ _misses = 0
 # configuration
 # ----------------------------------------------------------------------
 def configure_trace_cache(directory: str | os.PathLike | None) -> None:
-    """Set (or with ``None`` disable) the process-wide trace cache.
-
-    The directory is also exported as :data:`TRACE_CACHE_ENV` so worker
-    processes that do *not* inherit this module's state (spawn start
-    method, external subprocesses) see the same configuration; forked
-    workers inherit the module global directly.
-    """
+    """Set (or with ``None`` disable) the process-wide trace cache;
+    forked sweep workers inherit the setting."""
     global _configured
     _configured = None if directory is None else str(directory)
-    if _configured is None:
-        os.environ.pop(TRACE_CACHE_ENV, None)
-    else:
-        os.environ[TRACE_CACHE_ENV] = _configured
 
 
 def configured_trace_dir() -> str | None:
     """The active trace-cache directory, or None when caching is off."""
-    if _configured is not _UNSET:
-        return _configured
-    return os.environ.get(TRACE_CACHE_ENV) or None
+    return _configured
 
 
 def trace_store() -> ResultStore | None:

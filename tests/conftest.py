@@ -64,13 +64,8 @@ def _isolate_trace_cache():
     from repro.trace import cache
 
     saved = cache._configured
-    saved_env = os.environ.get(cache.TRACE_CACHE_ENV)
     yield
     cache._configured = saved
-    if saved_env is None:
-        os.environ.pop(cache.TRACE_CACHE_ENV, None)
-    else:
-        os.environ[cache.TRACE_CACHE_ENV] = saved_env
 
 
 @pytest.fixture

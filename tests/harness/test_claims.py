@@ -469,23 +469,23 @@ class TestClaimedRunner:
             assert runner.run([point]).report.executed == 1
         assert loads == [point, point]
 
-    def test_submit_point_computes_and_releases(self, tmp_path):
+    def test_submit_miss_computes_and_releases(self, tmp_path):
         with self.make(tmp_path) as runner:
             point = SweepPoint.make("selftest", {"payload": 42})
-            outcome = runner.submit_point(point).result(timeout=30)
+            outcome = runner.submit_miss(point).result(timeout=30)
             assert not outcome.cached and outcome.value["echo"] == 42
             assert runner.claims.held == 0
             assert runner.claims.stats()["computed"] == 1
-            hit = runner.submit_point(point).result(timeout=5)
+            hit = runner.cached_outcome(point)
             assert hit.cached and hit.value == outcome.value
 
-    def test_submit_point_waits_on_foreign_claim(self, tmp_path):
+    def test_submit_miss_waits_on_foreign_claim(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
         point = SweepPoint.make("selftest", {"payload": 3})
         other = ClaimBoard(tmp_path / "cache" / "claims", owner="other", ttl_s=30.0)
         with self.make(tmp_path, owner="waiter") as runner:
             assert other.acquire(runner.claim_key(point))
-            future = runner.submit_point(point)
+            future = runner.submit_miss(point)
             time.sleep(0.1)
             assert not future.done()
             store.store(point, {"echo": 3, "pid": -1}, elapsed_s=0.2)
@@ -494,14 +494,14 @@ class TestClaimedRunner:
             # no duplicate computation happened on this side
             assert runner.claims.stats()["computed"] == 0
 
-    def test_submit_point_steals_stale_foreign_claim(self, tmp_path):
+    def test_submit_miss_steals_stale_foreign_claim(self, tmp_path):
         point = SweepPoint.make("selftest", {"payload": 5})
         dead = ClaimBoard(tmp_path / "cache" / "claims", owner="dead", ttl_s=1.0)
         with self.make(tmp_path, owner="live", ttl_s=1.0) as runner:
             key = runner.claim_key(point)
             assert dead.acquire(key)
             backdate(dead, key, seconds=60.0)
-            outcome = runner.submit_point(point).result(timeout=30)
+            outcome = runner.submit_miss(point).result(timeout=30)
             assert not outcome.cached and outcome.value["echo"] == 5
             assert runner.claims.stats()["stolen"] == 1
 
@@ -513,7 +513,7 @@ class TestClaimedRunner:
         with self.make(tmp_path, owner="retrier", ttl_s=30.0) as runner:
             key = runner.claim_key(point)
             assert other.acquire(key)
-            future = runner.submit_point(point)
+            future = runner.submit_miss(point)
             time.sleep(0.1)
             assert not future.done()
             other.release(key)
@@ -527,7 +527,7 @@ class TestClaimedRunner:
         other = ClaimBoard(tmp_path / "cache" / "claims", owner="other", ttl_s=30.0)
         runner = self.make(tmp_path, owner="closer")
         assert other.acquire(runner.claim_key(point))
-        future = runner.submit_point(point)
+        future = runner.submit_miss(point)
         runner.close()
         with pytest.raises(SweepError, match="closed"):
             future.result(timeout=5)
@@ -540,7 +540,7 @@ class TestClaimedRunner:
             for i in range(3)
         ]
         with self.make(tmp_path) as runner:
-            futures = [runner.submit_point(point) for point in points]
+            futures = [runner.submit_miss(point) for point in points]
             assert runner.claims.held == 1
             outcomes = [future.result(timeout=30) for future in futures]
             assert [o.value["echo"] for o in outcomes] == [0, 1, 2]
@@ -567,7 +567,7 @@ class TestClaimedRunner:
 
                 def submit(index):
                     for point in points[index::8]:
-                        submitted[index].append((point, runner.submit_point(point)))
+                        submitted[index].append((point, runner.submit_miss(point)))
 
                 threads = [
                     threading.Thread(target=submit, args=(i,)) for i in range(8)

@@ -66,16 +66,6 @@ class TestLRUSemantics:
         # nothing evicted for an entry that could never fit
         assert tier.keys() == ["a", "b"] and tier.evictions == 0
 
-    def test_invalidate_and_clear_count(self):
-        tier = HotTier()
-        fill(tier, ["a", "b", "c"])
-        tier.invalidate("a")
-        tier.invalidate("nope")  # no-op, not counted
-        assert tier.invalidations == 1 and len(tier) == 2
-        tier.clear()
-        assert len(tier) == 0 and tier.bytes == 0
-        assert tier.invalidations == 3
-
     def test_stats_shape(self, tmp_path):
         tier = HotTier(max_entries=5, max_bytes=50, validate=True)
         stats = tier.stats()
@@ -123,14 +113,6 @@ class TestStoreCoherence:
         second = store.load_entry(self.point())
         assert second.hot is True and tier.hits == 1
         assert second.result == first.result
-
-    def test_discard_invalidates(self, tmp_path):
-        tier = HotTier()
-        store = ResultStore(tmp_path, hot_tier=tier)
-        store.store(self.point(), {"series": []})
-        store.discard(self.point())
-        assert store.load_entry(self.point()) is MISS
-        assert tier.invalidations == 1
 
     def test_misses_are_never_cached(self, tmp_path):
         """The claim protocol polls for peer writes; a negative cache
@@ -198,33 +180,20 @@ class TestEntryCounts:
     def point(self, n):
         return SweepPoint.make("analytic", {"panel": "accuracy", "points": n})
 
-    def test_lazy_scan_then_incremental(self, tmp_path):
+    def test_counts_follow_the_directory(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.store(self.point(1), {})
-        assert store.entry_counts() == {"analytic": 1}
-        store.store(self.point(2), {})
-        store.store(self.point(2), {})  # overwrite: not a fresh file
-        assert store.entry_counts() == {"analytic": 2}
-        store.discard(self.point(1))
-        assert store.entry_counts() == {"analytic": 1}
-        assert len(store) == 1  # the real directory agrees
-
-    def test_rescan_picks_up_foreign_writes(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.store(self.point(1), {})
-        assert store.entry_counts() == {"analytic": 1}
-        ResultStore(tmp_path).store(self.point(2), {})
-        # without max_age_s the foreign write stays invisible...
-        assert store.entry_counts() == {"analytic": 1}
-        # ...and a zero-age rescan sees it
-        assert store.entry_counts(max_age_s=0.0) == {"analytic": 2}
-
-    def test_clear_zeroes_counts(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.store(self.point(1), {})
-        assert store.entry_counts() == {"analytic": 1}
-        store.clear()
         assert store.entry_counts() == {}
+        store.store(self.point(1), {})
+        assert store.entry_counts() == {"analytic": 1}
+        store.store(self.point(1), {})  # overwrite: not a second entry
+        assert store.entry_counts() == {"analytic": 1}
+        # a second store's write (a peer replica, the trace cache) is
+        # counted at the very next call
+        ResultStore(tmp_path, compact=True).store(
+            SweepPoint.make("trace", {"app": "em3d"}), {}
+        )
+        ResultStore(tmp_path).store(self.point(2), {})
+        assert store.entry_counts() == {"analytic": 2, "trace": 1}
 
 
 def _overwrite_entry(root):

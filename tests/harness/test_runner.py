@@ -214,17 +214,17 @@ class TestPerPointTiming:
 
 
 class TestIncrementalSubmission:
-    def test_submit_point_matches_batch_and_caches(self, tmp_path):
+    def test_submit_miss_matches_batch_and_caches(self, tmp_path):
         store = ResultStore(tmp_path)
         with ParallelRunner(store=store) as runner:
             point = SweepPoint.make("selftest", {"payload": 42})
-            outcome = runner.submit_point(point).result(timeout=30)
+            outcome = runner.submit_miss(point).result(timeout=30)
             assert not outcome.cached
             assert outcome.value["echo"] == 42
             assert outcome.elapsed_s is not None
-            # the store was written, so a second submit is an instant hit
-            # that never touches the pool again:
-            hit = runner.submit_point(point).result(timeout=1)
+            # the store was written before the future resolved, so the
+            # next read is a hit
+            hit = runner.cached_outcome(point)
             assert hit.cached
             assert hit.value == outcome.value
         batch = ParallelRunner(store=ResultStore(tmp_path)).run([point])
@@ -236,16 +236,17 @@ class TestIncrementalSubmission:
         point = SweepPoint.make("selftest", {"payload": 3})
         store.store(point, {"echo": 3, "pid": 0}, elapsed_s=0.5)
         with ParallelRunner(store=store) as runner:
-            outcome = runner.submit_point(point).result(timeout=1)
+            outcome = runner.cached_outcome(point)
             assert outcome.cached and outcome.elapsed_s == 0.5
+            assert runner.run([point]).report.cached == 1
             assert not runner.pool_started
 
-    def test_submit_point_failure_is_sweep_error(self):
+    def test_submit_miss_failure_is_sweep_error(self):
         with ParallelRunner() as runner:
             point = SweepPoint.make(
                 "selftest", {"payload": 9, "behavior": "error"}
             )
-            future = runner.submit_point(point)
+            future = runner.submit_miss(point)
             with pytest.raises(SweepError, match="payload=9"):
                 future.result(timeout=30)
 
@@ -256,7 +257,7 @@ class TestIncrementalSubmission:
         try:
             with ParallelRunner() as runner:
                 point = SweepPoint.make("context_probe", {})
-                outcome = runner.submit_point(point).result(timeout=30)
+                outcome = runner.submit_miss(point).result(timeout=30)
         finally:
             CALLER.reset(token)
         assert outcome.value == {"caller": "submitter"}
@@ -264,7 +265,7 @@ class TestIncrementalSubmission:
     def test_parallel_jobs_submit_runs_in_worker_process(self, tmp_path):
         with ParallelRunner(jobs=2, store=ResultStore(tmp_path)) as runner:
             point = SweepPoint.make("selftest", {"payload": 11})
-            outcome = runner.submit_point(point).result(timeout=60)
+            outcome = runner.submit_miss(point).result(timeout=60)
             assert outcome.value["echo"] == 11
             assert outcome.value["pid"] != os.getpid()
 
@@ -276,9 +277,9 @@ class TestIncrementalSubmission:
                 "selftest", {"payload": 1, "behavior": "crash"}
             )
             with pytest.raises(SweepError):
-                runner.submit_point(crash).result(timeout=60)
+                runner.submit_miss(crash).result(timeout=60)
             healthy = SweepPoint.make("selftest", {"payload": 2})
-            outcome = runner.submit_point(healthy).result(timeout=60)
+            outcome = runner.submit_miss(healthy).result(timeout=60)
             assert outcome.value["echo"] == 2
             # the crash was not cached; the success was.
             assert runner.store.load_entry(crash) is MISS
@@ -300,7 +301,7 @@ class TestIncrementalSubmission:
         runner = ParallelRunner()
         fake = FakeExecutor()
         runner._pool = fake
-        outer = runner.submit_point(SweepPoint.make("selftest", {"payload": 1}))
+        outer = runner.submit_miss(SweepPoint.make("selftest", {"payload": 1}))
         fake.inner.cancel()
         with pytest.raises(SweepError, match="cancelled"):
             outer.result(timeout=5)
@@ -309,10 +310,10 @@ class TestIncrementalSubmission:
         runner = ParallelRunner()
         runner.close()  # never started: no-op
         point = SweepPoint.make("selftest", {"payload": 1})
-        assert runner.submit_point(point).result(timeout=30).value["echo"] == 1
+        assert runner.submit_miss(point).result(timeout=30).value["echo"] == 1
         runner.close()
         # a new submission after close() lazily builds a fresh pool.
-        assert runner.submit_point(point).result(timeout=30).value["echo"] == 1
+        assert runner.submit_miss(point).result(timeout=30).value["echo"] == 1
         runner.close()
 
 
@@ -337,7 +338,7 @@ def submission_order(runner, points):
         done.set_result(PointOutcome(value=None, elapsed_s=0.0, cached=False))
         return done
 
-    runner._submit_miss = record
+    runner.submit_miss = record
     runner.run(points)
     return order
 

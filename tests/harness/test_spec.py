@@ -86,14 +86,6 @@ class TestSweepSpec:
         )
         assert [p["iterations"] for p in spec] == [1, 2]
 
-    def test_where_drops_cells(self):
-        spec = SweepSpec(
-            kind="k",
-            axes={"a": [1, 2, 3]},
-            where=lambda p: p["a"] != 2,
-        )
-        assert [p["a"] for p in spec] == [1, 3]
-
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="no values"):
             SweepSpec(kind="k", axes={"a": []}).points()

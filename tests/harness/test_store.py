@@ -110,13 +110,6 @@ class TestInvalidation:
         path.write_bytes(b"\xff\xfe garbage \x80")
         assert store.load(point) is MISS
 
-    def test_discard(self, tmp_path, point):
-        store = ResultStore(tmp_path)
-        store.store(point, 1)
-        store.discard(point)
-        assert store.load(point) is MISS
-        store.discard(point)  # idempotent
-
 
 class TestTiming:
     def test_elapsed_round_trips(self, tmp_path, point):
@@ -198,13 +191,16 @@ class TestMaintenance:
         assert entry["params"] == point.as_dict()
         assert entry["result"] == 1
 
-    def test_clear_removes_everything(self, tmp_path):
+    def test_len_counts_every_entry_on_disk(self, tmp_path):
         store = ResultStore(tmp_path)
         for payload in range(3):
             store.store(SweepPoint.make("selftest", {"payload": payload}), payload)
-        assert len(store) == 3
-        assert store.clear() == 3
-        assert len(store) == 0
+        store.store(SweepPoint.make("selftest", {"payload": 0}), 0)  # overwrite
+        # other fingerprints and other kinds count too
+        ResultStore(tmp_path, fingerprint={"v": 2}).store(
+            SweepPoint.make("analytic", {"points": 1}), 1
+        )
+        assert len(store) == 4
 
     def test_len_on_missing_root(self, tmp_path):
         assert len(ResultStore(tmp_path / "never-created")) == 0

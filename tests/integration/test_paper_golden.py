@@ -10,8 +10,6 @@ change that moves the golden numbers still has to keep the paper's
 shapes.  Regenerate the golden file with ``REPRO_UPDATE_GOLDEN=1`` set.
 """
 
-import os
-
 import pytest
 
 from repro.analytic.model import FIGURE6_SWEEPS
@@ -32,17 +30,13 @@ def paper(tmp_path_factory):
     # Restored here, not by the autouse ``_isolate_trace_cache``: that
     # fixture is function-scoped and set up after this one, so it would
     # save this tmp dir as the state to restore.
-    saved, saved_env = cache._configured, os.environ.get(cache.TRACE_CACHE_ENV)
+    saved = cache._configured
     cache.configure_trace_cache(root)
     try:
         runner = ParallelRunner(store=ResultStore(root))
         return {name: run_experiment(name, runner=runner) for name in PAPER_EXPERIMENTS}
     finally:
         cache._configured = saved
-        if saved_env is None:
-            os.environ.pop(cache.TRACE_CACHE_ENV, None)
-        else:
-            os.environ[cache.TRACE_CACHE_ENV] = saved_env
 
 
 @pytest.mark.parametrize("name", PAPER_EXPERIMENTS)

@@ -347,8 +347,8 @@ class TestClaimedReplicas:
         second = self.make_replica(tmp_path, "replica-2")
         try:
             point = probe_point(payload=1, gate="replica")
-            blocked = first.submit_point(point)  # claims, starts computing
-            waiting = second.submit_point(point)  # claim held: waits
+            blocked = first.submit_miss(point)  # claims, starts computing
+            waiting = second.submit_miss(point)  # claim held: waits
             assert not waiting.done()
             gate("replica").set()
             one = blocked.result(timeout=30)

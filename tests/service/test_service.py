@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.eval.cli import main as cli_main
-from repro.harness import ParallelRunner, ResultStore
+from repro.harness import ParallelRunner, ResultStore, SweepPoint
 from repro.service import ReproService, ServiceConfig
 
 from tests.service.conftest import CALLS, gate
@@ -37,24 +38,28 @@ async def http_request(
         else:
             writer.write((head + "\r\n").encode())
         await writer.drain()
-        status_line = await reader.readline()
-        status = int(status_line.split()[1])
-        length = None
-        headers = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b""):
-                break
-            name, _, value = line.decode().partition(":")
-            headers[name.strip().lower()] = value.strip()
-            if name.strip().lower() == "content-length":
-                length = int(value.strip())
-        data = await reader.readexactly(length)
+        status, payload, headers = await read_response(reader)
         if return_headers:
-            return status, json.loads(data), headers
-        return status, json.loads(data)
+            return status, payload, headers
+        return status, payload
     finally:
         writer.close()
+
+
+async def read_response(reader):
+    """One JSON response off the stream: (status, payload, headers),
+    header names lower-cased."""
+    status_line = await reader.readline()
+    status = int(status_line.split()[1])
+    headers = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b""):
+            break
+        name, _, value = line.decode().partition(":")
+        headers[name.strip().lower()] = value.strip()
+    data = await reader.readexactly(int(headers["content-length"]))
+    return status, json.loads(data), headers
 
 
 def service_config(tmp_path, **overrides):
@@ -87,6 +92,23 @@ class TestSmoke:
             assert stats["point_requests"] == 0
             assert stats["queue_depth_bound"] == service.config.max_pending
             assert stats["runner"]["cache_dir"].endswith("cache")
+
+        run_with_service(tmp_path, scenario)
+
+    def test_statz_counts_a_peer_write(self, tmp_path):
+        """An entry another store writes into an unclaimed replica's
+        cache dir (as a peer process or a CLI sweep would) shows in the
+        next /statz."""
+
+        async def scenario(service):
+            _status, stats = await http_request(service.port, "/statz")
+            assert stats["runner"]["cache_entries"] == 0
+            ResultStore(tmp_path / "cache").store(
+                SweepPoint.make("analytic", {"panel": "accuracy", "points": 3}),
+                {"series": []},
+            )
+            _status, stats = await http_request(service.port, "/statz")
+            assert stats["runner"]["cache_entries"] == 1
 
         run_with_service(tmp_path, scenario)
 
@@ -155,16 +177,47 @@ class TestSmoke:
                 for _ in range(3):
                     writer.write(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
                     await writer.drain()
-                    status_line = await reader.readline()
-                    assert b"200" in status_line
-                    length = None
-                    while True:
-                        line = await reader.readline()
-                        if line == b"\r\n":
-                            break
-                        if line.lower().startswith(b"content-length"):
-                            length = int(line.split(b":")[1])
-                    await reader.readexactly(length)
+                    status, _payload, _headers = await read_response(reader)
+                    assert status == 200
+            finally:
+                writer.close()
+
+        run_with_service(tmp_path, scenario)
+
+    def test_idle_keep_alive_connection_is_closed(self, tmp_path):
+        """After a keep-alive response, a client that sends nothing more
+        is disconnected once keep_alive_s has passed, with no more bytes."""
+        keep_alive_s = 0.3
+
+        async def scenario(service):
+            reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+            try:
+                writer.write(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                await writer.drain()
+                status, _payload, headers = await read_response(reader)
+                assert status == 200 and headers["connection"] == "keep-alive"
+                idle_from = time.monotonic()
+                rest = await asyncio.wait_for(reader.read(), keep_alive_s + 1.0)
+                assert rest == b""
+                assert time.monotonic() - idle_from >= keep_alive_s / 2
+            finally:
+                writer.close()
+
+        run_with_service(tmp_path, scenario, keep_alive_s=keep_alive_s)
+
+    def test_malformed_request_gets_400_then_close(self, tmp_path):
+        async def scenario(service):
+            reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+            try:
+                writer.write(b"GARBAGE\r\n\r\n")
+                await writer.drain()
+                status, payload, headers = await asyncio.wait_for(
+                    read_response(reader), 5.0
+                )
+                assert status == 400
+                assert "malformed request line" in payload["error"]
+                assert headers["connection"] == "close"
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""
             finally:
                 writer.close()
 
@@ -253,6 +306,23 @@ class TestPointEndpoint:
         )
         kinds = tuple(done.stdout.split())
         assert kinds == ("accuracy", "analytic", "speculation")
+
+    @pytest.mark.parametrize(
+        "claimed, reads", [(False, 1), (True, 2)], ids=["unclaimed", "claimed"]
+    )
+    def test_miss_is_read_once_per_check(self, tmp_path, store_loads, claimed, reads):
+        """The pool reads a miss once before computing it; a claimed
+        replica reads it once more, under the claim."""
+
+        async def scenario(service):
+            loads = store_loads(service.runner.store)
+            target = "/v1/point?kind=svc_probe&payload=1"
+            status, body = await http_request(service.port, target)
+            assert status == 200 and body["cached"] is False
+            assert len(loads) == reads
+
+        claims = {"claim_dir": str(tmp_path / "cache" / "claims")} if claimed else {}
+        run_with_service(tmp_path, scenario, **claims)
 
     def test_bad_requests_are_400(self, tmp_path):
         async def scenario(service):
@@ -487,14 +557,29 @@ class TestTraceCacheStats:
 
         run_with_service(tmp_path, scenario)
 
-    def test_no_store_means_no_trace_cache(self, tmp_path, monkeypatch):
-        """``serve --no-cache`` turns the trace cache off as ``sweep
-        --no-cache`` does, whatever REPRO_TRACE_CACHE says."""
-        from repro.trace import cache as trace_cache
+    def test_trace_entries_follow_the_disk(self, tmp_path):
+        """The trace cache writes through its own store; /statz counts
+        its entries from the directory, so each new trace shows."""
 
-        env_dir = tmp_path / "env-traces"
-        monkeypatch.setattr(trace_cache, "_configured", trace_cache._UNSET)
-        monkeypatch.setenv(trace_cache.TRACE_CACHE_ENV, str(env_dir))
+        async def scenario(service):
+            trace_dir = tmp_path / "cache" / "trace"
+            for app, traces in (("em3d", 1), ("ocean", 2)):
+                target = f"/v1/point?kind=accuracy&app={app}&num_procs=4&iterations=2"
+                status, body = await http_request(service.port, target)
+                assert status == 200 and body["cached"] is False
+                _status, stats = await http_request(service.port, "/statz")
+                assert stats["trace_cache"]["entries"] == traces
+                assert len(list(trace_dir.glob("*.json"))) == traces
+
+        run_with_service(tmp_path, scenario)
+
+    def test_no_store_means_no_trace_cache(self, tmp_path):
+        """``serve --no-cache`` turns the trace cache off as ``sweep
+        --no-cache`` does, whatever was configured before."""
+        from repro.trace import configure_trace_cache
+
+        earlier_dir = tmp_path / "earlier-traces"
+        configure_trace_cache(earlier_dir)
 
         async def scenario(service):
             target = "/v1/point?kind=accuracy&app=em3d&num_procs=4&iterations=2"
@@ -505,7 +590,7 @@ class TestTraceCacheStats:
             assert stats["trace_cache"]["entries"] is None
 
         run_with_service(tmp_path, scenario, cache_dir=None)
-        assert not list(env_dir.glob("**/*.json"))
+        assert not list(earlier_dir.glob("**/*.json"))
 
     def test_point_entry_records_trace_provenance(self, tmp_path):
         async def scenario(service):

@@ -74,14 +74,6 @@ class TestConfiguration:
         )
         assert delta == (0, 0)
 
-    def test_env_fallback(self, tmp_path, monkeypatch):
-        configure_trace_cache(None)
-        assert trace_store() is None
-        monkeypatch.setattr(trace_cache, "_configured", trace_cache._UNSET)
-        monkeypatch.setenv(trace_cache.TRACE_CACHE_ENV, str(tmp_path))
-        store = trace_store()
-        assert store is not None and store.root == tmp_path
-
 
 class TestCacheBehavior:
     def test_miss_then_hit_bit_identical(self, cache_dir):
@@ -249,6 +241,19 @@ class TestAccuracyPipelineIntegration:
         assert entry.meta == {"trace_cache": {"hits": 0, "misses": 1}}
         assert "trace cache 0h/1m" in result.report.timing_summary()
 
+    def test_forked_workers_inherit_the_setting(self, cache_dir, tmp_path):
+        """The setting is a module global: a forked worker process
+        (``jobs=2``) compiles into the configured cache."""
+        from repro.harness import ParallelRunner, ResultStore
+
+        point = SweepPoint.make(
+            "accuracy", {"app": "em3d", "num_procs": 4, "iterations": 2}
+        )
+        with ParallelRunner(jobs=2, store=ResultStore(tmp_path / "points")) as runner:
+            outcome = runner.submit_miss(point).result(timeout=60)
+        assert outcome.trace_misses == 1
+        assert len(list((cache_dir / "trace").glob("*.json"))) == 1
+
 
 class TestStorageFormat:
     def test_trace_entries_are_compact_json(self, cache_dir):
@@ -257,11 +262,3 @@ class TestStorageFormat:
         text = trace_store().path_for(point).read_text()
         # compact form: one line, no indentation padding
         assert "\n" not in text.strip()
-
-    def test_configure_exports_env_for_spawned_workers(self, tmp_path):
-        import os
-
-        configure_trace_cache(tmp_path)
-        assert os.environ[trace_cache.TRACE_CACHE_ENV] == str(tmp_path)
-        configure_trace_cache(None)
-        assert trace_cache.TRACE_CACHE_ENV not in os.environ
