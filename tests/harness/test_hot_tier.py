@@ -187,6 +187,13 @@ class TestEntryCounts:
         assert store.entry_counts() == {"analytic": 1}
         store.store(self.point(1), {})  # overwrite: not a second entry
         assert store.entry_counts() == {"analytic": 1}
+        store.store(self.point(2), {})
+        assert store.entry_counts() == {"analytic": 2}
+
+    def test_rescan_picks_up_foreign_writes(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.store(self.point(1), {})
+        assert store.entry_counts() == {"analytic": 1}
         # a second store's write (a peer replica, the trace cache) is
         # counted at the very next call
         ResultStore(tmp_path, compact=True).store(
