@@ -120,6 +120,12 @@ class WorkloadBuilder:
         # Pending (not yet flushed) read run per block: list of readers.
         self._pending_reads: dict[BlockId, list[NodeId]] = {}
         self._finished = False
+        # The ops and epochs are frozen values, so every access appends
+        # one shared instance: one MemRead and one MemWrite per block,
+        # one WriteEpoch per writer.
+        self._read_ops: dict[BlockId, MemRead] = {}
+        self._write_ops: dict[BlockId, MemWrite] = {}
+        self._write_epochs: dict[NodeId, WriteEpoch] = {}
 
     @property
     def num_procs(self) -> int:
@@ -156,17 +162,33 @@ class WorkloadBuilder:
     # operations
     # ------------------------------------------------------------------
     def read(self, proc: NodeId, block: BlockId) -> None:
-        phase = self._current_phase()
-        phase.ops[proc].append(MemRead(block))
-        run = self._pending_reads.setdefault(block, [])
-        if proc not in run:
+        phase = self._phase
+        if phase is None:  # an open phase implies an unfinished builder
+            phase = self._current_phase()  # raises the matching error
+        op = self._read_ops.get(block)
+        if op is None:
+            op = self._read_ops[block] = MemRead(block)
+        phase.ops[proc].append(op)
+        run = self._pending_reads.get(block)
+        if run is None:
+            self._pending_reads[block] = [proc]
+        elif proc not in run:
             run.append(proc)
 
     def write(self, proc: NodeId, block: BlockId) -> None:
-        phase = self._current_phase()
-        phase.ops[proc].append(MemWrite(block))
-        self._flush_reads_for(block)
-        self._script(block).append(WriteEpoch(writer=proc))
+        phase = self._phase
+        if phase is None:
+            phase = self._current_phase()
+        op = self._write_ops.get(block)
+        if op is None:
+            op = self._write_ops[block] = MemWrite(block)
+        phase.ops[proc].append(op)
+        if block in self._pending_reads:
+            self._flush_reads_for(block)
+        epoch = self._write_epochs.get(proc)
+        if epoch is None:
+            epoch = self._write_epochs[proc] = WriteEpoch(writer=proc)
+        self._script(block).append(epoch)
 
     def compute(self, proc: NodeId, cycles: int) -> None:
         if cycles < 0:
@@ -206,10 +228,10 @@ class WorkloadBuilder:
         return self._phase
 
     def _script(self, block: BlockId) -> BlockScript:
-        scripts = self._workload.scripts
-        if block not in scripts:
-            scripts[block] = BlockScript(block=block)
-        return scripts[block]
+        script = self._workload.scripts.get(block)
+        if script is None:
+            script = self._workload.scripts[block] = BlockScript(block=block)
+        return script
 
     def _flush_reads_for(self, block: BlockId) -> None:
         run = self._pending_reads.pop(block, None)

@@ -34,7 +34,16 @@ class AccessKind(enum.Enum):
 
 
 class MessageKind(enum.Enum):
-    """Kinds of coherence messages observed at a home directory."""
+    """Kinds of coherence messages observed at a home directory.
+
+    Members hash by identity (``object.__hash__``, a C slot) instead of
+    ``Enum.__hash__``'s Python-level ``hash(self._name_)``: every
+    pattern-table key holding a ``(kind, node)`` token hashes its kind.
+    Members are singletons compared by identity, so equality is
+    unchanged.
+    """
+
+    __hash__ = object.__hash__
 
     READ = "read"
     WRITE = "write"
@@ -117,7 +126,12 @@ class Message:
 
 
 class DirectoryState(enum.Enum):
-    """Stable states of the full-map write-invalidate directory FSM."""
+    """Stable states of the full-map write-invalidate directory FSM.
+
+    Hashes by identity, like :class:`MessageKind`.
+    """
+
+    __hash__ = object.__hash__
 
     IDLE = "idle"
     SHARED = "shared"

@@ -164,11 +164,6 @@ class HotTier:
         with self._lock:
             return self._bytes
 
-    def keys(self) -> list[str]:
-        """Resident keys, least- to most-recently used (for tests)."""
-        with self._lock:
-            return list(self._slots)
-
     def stats(self) -> dict[str, Any]:
         """The ``hot_tier`` section of ``/statz`` (and ``/metrics``)."""
         with self._lock:

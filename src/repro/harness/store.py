@@ -23,9 +23,9 @@ never leaves a truncated entry behind; unreadable entries are treated
 as misses and overwritten.
 
 A store can be fronted by an in-process
-:class:`~repro.harness.hot_tier.HotTier`: ``load_entry``/``load``
-consult memory first and fall through to the disk (the shared cold
-tier) only on a tier miss; writes populate the tier.  Misses are
+:class:`~repro.harness.hot_tier.HotTier`: ``load_entry`` consults
+memory first and falls through to the disk (the shared cold tier) only
+on a tier miss; writes populate the tier.  Misses are
 deliberately **never** cached — the claim protocol polls the store
 waiting for entries peer replicas are about to write, and a negative
 cache would turn that wait into a livelock.
@@ -156,11 +156,6 @@ class ResultStore:
         if self.hot_tier is not None and tier_key is not None:
             self.hot_tier.put(tier_key, loaded, len(raw), path)
         return loaded
-
-    def load(self, point: SweepPoint) -> Any:
-        """The cached result for ``point``, or :data:`MISS`."""
-        entry = self.load_entry(point)
-        return entry if entry is MISS else entry.result
 
     def recorded_times(self, kind: str) -> list[tuple[dict[str, Any], float]]:
         """``(params, elapsed_s)`` for every readable entry of ``kind``.

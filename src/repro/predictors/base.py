@@ -178,7 +178,9 @@ class DirectoryPredictor(abc.ABC):
     def _learn(self, block: BlockId, history: HistoryKey, token: Token) -> None:
         if len(history) < self.depth:
             return
-        table = self._patterns.setdefault(block, {})
+        table = self._patterns.get(block)
+        if table is None:
+            table = self._patterns[block] = {}
         key = (block, history)
         previous = table.get(history)
         if previous is None:

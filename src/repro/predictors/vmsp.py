@@ -33,6 +33,10 @@ from repro.predictors.storage import (
     vmsp_tokens_bits,
 )
 
+_READ = MessageKind.READ
+#: The open run of a block no read has reached yet.
+_NO_READERS: frozenset[NodeId] = frozenset()
+
 
 class Vmsp(DirectoryPredictor):
     """Two-level predictor with vector-encoded read sequences."""
@@ -55,31 +59,36 @@ class Vmsp(DirectoryPredictor):
         self.stats.record(outcome)
         return outcome
 
-    def observe_request(
-        self, kind: MessageKind, node: NodeId, block: BlockId
-    ) -> Outcome:
-        """Observe a request without boxing it into a :class:`Message`.
+    def observe_request(self, kind: MessageKind, node: NodeId, block: BlockId) -> None:
+        """Learn one request without scoring it or boxing it in a
+        :class:`Message`.
 
         The speculation engine's path: one call per directory
-        transaction, no per-message dataclass, no throwaway set
-        allocations.  The outcome, learning, and statistics are
-        bit-identical to feeding the equivalent request through
-        :meth:`observe` (the reference speculation engine in
-        ``tests/oracles/`` keeps doing exactly that); the equivalence
-        suite gates the two against each other.
+        transaction.  A read joins the block's open run; a write or
+        upgrade closes the run and learns its own token in one pass
+        (one history read and one history write).  The tables end up
+        exactly as :meth:`observe` leaves them — the reference
+        speculation engine in ``tests/oracles/`` keeps feeding
+        ``observe``, and the equivalence suites gate the two — but
+        nothing is scored, so :attr:`stats` does not move.
         """
-        if kind is MessageKind.READ:
-            history = self._history.get(block, ())
+        if kind is _READ:
             run = self._runs.get(block)
             if run is None:
-                run = self._runs[block] = set()
-            outcome = self._score_read(block, history, run, node)
-            run.add(node)
-        else:
-            self._close_run(block)
-            outcome = self._observe_token(block, (kind, node))
-        self.stats.record(outcome)
-        return outcome
+                self._runs[block] = {node}
+            else:
+                run.add(node)
+            return
+        history = self._history.get(block, ())
+        run = self._runs.get(block)
+        if run:
+            vector = ReadVector(frozenset(run))
+            self._learn(block, history, vector)
+            history = (history + (vector,))[-self.depth :]
+            run.clear()
+        token = (kind, node)
+        self._learn(block, history, token)
+        self._history[block] = (history + (token,))[-self.depth :]
 
     # ------------------------------------------------------------------
     # reads: scored against the currently predicted vector
@@ -149,20 +158,11 @@ class Vmsp(DirectoryPredictor):
         history = self._history.get(block, ())
         if self.confidence(block, history) < 1:
             return None
-        run = self._runs.get(block, set())
-        return frozenset(predicted.readers - run)
+        return frozenset(predicted.readers - self._runs.get(block, _NO_READERS))
 
     def open_run(self, block: BlockId) -> frozenset[NodeId]:
         """Readers observed since the last write (the open sequence)."""
         return frozenset(self._runs.get(block, set()))
-
-    def has_open_run(self, block: BlockId) -> bool:
-        """Whether any reader has been observed since the last write.
-
-        The allocation-free truthiness probe of :meth:`open_run`, for
-        the speculation engine's first-of-run test.
-        """
-        return bool(self._runs.get(block))
 
     def observe_speculative_read(self, block: BlockId, node: NodeId) -> None:
         """Record a speculatively *performed* read without scoring it.

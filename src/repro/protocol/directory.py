@@ -14,6 +14,16 @@ from dataclasses import dataclass, field
 
 from repro.common.types import DirectoryState, MessageKind, NodeId
 
+# Module-level aliases: the emulator and the timing home call these
+# transitions once per request, and a global load is cheaper than a
+# class-attribute lookup through the enum's metaclass.
+_IDLE = DirectoryState.IDLE
+_SHARED = DirectoryState.SHARED
+_EXCLUSIVE = DirectoryState.EXCLUSIVE
+_READ = MessageKind.READ
+_WRITE = MessageKind.WRITE
+_UPGRADE = MessageKind.UPGRADE
+
 
 class ProtocolError(RuntimeError):
     """An access sequence violated the protocol's assumptions."""
@@ -49,7 +59,7 @@ class BlockDirectory:
 
     def holders(self) -> frozenset[NodeId]:
         """All nodes currently holding a valid copy."""
-        if self.state is DirectoryState.EXCLUSIVE:
+        if self.state is _EXCLUSIVE:
             assert self.owner is not None
             return frozenset({self.owner})
         return frozenset(self.sharers)
@@ -62,41 +72,41 @@ class BlockDirectory:
     # ------------------------------------------------------------------
     def read(self, reader: NodeId) -> Transition:
         """Present a load by ``reader``; return the protocol actions."""
-        if self.state is DirectoryState.IDLE:
-            self.state = DirectoryState.SHARED
+        if self.state is _IDLE:
+            self.state = _SHARED
             self.sharers = {reader}
-            return Transition(request=MessageKind.READ)
-        if self.state is DirectoryState.SHARED:
+            return Transition(request=_READ)
+        if self.state is _SHARED:
             if reader in self.sharers:
                 return Transition()  # cache hit, no message
             self.sharers.add(reader)
-            return Transition(request=MessageKind.READ)
+            return Transition(request=_READ)
         # EXCLUSIVE
         assert self.owner is not None
         if reader == self.owner:
             return Transition()  # owner hits in its own cache
         previous_owner = self.owner
-        self.state = DirectoryState.SHARED
+        self.state = _SHARED
         self.sharers = {reader}
         self.owner = None
         return Transition(
-            request=MessageKind.READ, writeback_from=previous_owner
+            request=_READ, writeback_from=previous_owner
         )
 
     def write(self, writer: NodeId) -> Transition:
         """Present a store by ``writer``; return the protocol actions."""
-        if self.state is DirectoryState.IDLE:
-            self.state = DirectoryState.EXCLUSIVE
+        if self.state is _IDLE:
+            self.state = _EXCLUSIVE
             self.owner = writer
-            return Transition(request=MessageKind.WRITE)
-        if self.state is DirectoryState.SHARED:
+            return Transition(request=_WRITE)
+        if self.state is _SHARED:
             others = tuple(sorted(self.sharers - {writer}))
             kind = (
-                MessageKind.UPGRADE
+                _UPGRADE
                 if writer in self.sharers
-                else MessageKind.WRITE
+                else _WRITE
             )
-            self.state = DirectoryState.EXCLUSIVE
+            self.state = _EXCLUSIVE
             self.sharers = set()
             self.owner = writer
             return Transition(request=kind, invalidated=others)
@@ -107,7 +117,7 @@ class BlockDirectory:
         previous_owner = self.owner
         self.owner = writer
         return Transition(
-            request=MessageKind.WRITE, writeback_from=previous_owner
+            request=_WRITE, writeback_from=previous_owner
         )
 
     def recall(self) -> Transition:
@@ -117,16 +127,16 @@ class BlockDirectory:
         writable copy early.  Recalling a Shared block invalidates the
         read-only copies; recalling an Idle block is a no-op.
         """
-        if self.state is DirectoryState.IDLE:
+        if self.state is _IDLE:
             return Transition()
-        if self.state is DirectoryState.SHARED:
+        if self.state is _SHARED:
             invalidated = tuple(sorted(self.sharers))
-            self.state = DirectoryState.IDLE
+            self.state = _IDLE
             self.sharers = set()
             return Transition(invalidated=invalidated)
         assert self.owner is not None
         previous_owner = self.owner
-        self.state = DirectoryState.IDLE
+        self.state = _IDLE
         self.owner = None
         return Transition(writeback_from=previous_owner)
 
@@ -137,19 +147,19 @@ class BlockDirectory:
         somewhere or the node already holds a copy — the cases where the
         protocol would not send a speculative copy.
         """
-        if self.state is DirectoryState.EXCLUSIVE:
+        if self.state is _EXCLUSIVE:
             return False
         if node in self.sharers:
             return False
-        self.state = DirectoryState.SHARED
+        self.state = _SHARED
         self.sharers.add(node)
         return True
 
     def invalidate_sharer(self, node: NodeId) -> None:
         """Drop one sharer (used when a speculative copy is discarded)."""
         self.sharers.discard(node)
-        if not self.sharers and self.state is DirectoryState.SHARED:
-            self.state = DirectoryState.IDLE
+        if not self.sharers and self.state is _SHARED:
+            self.state = _IDLE
 
     def promote_sole_sharer(self, node: NodeId) -> bool:
         """Upgrade the block's only sharer to exclusive ownership.
@@ -159,9 +169,9 @@ class BlockDirectory:
         executing the upgrade speculatively.  Refused (returning False)
         unless the node is the block's sole holder.
         """
-        if self.state is not DirectoryState.SHARED or self.sharers != {node}:
+        if self.state is not _SHARED or self.sharers != {node}:
             return False
-        self.state = DirectoryState.EXCLUSIVE
+        self.state = _EXCLUSIVE
         self.owner = node
         self.sharers = set()
         return True

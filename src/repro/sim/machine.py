@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from repro.apps.base import Workload
 from repro.common.config import SystemConfig
 from repro.common.stats import StatSet
-from repro.common.types import BlockId, MessageKind, NodeId
+from repro.common.types import BlockId, NodeId
 from repro.network.interconnect import Interconnect
 from repro.sim.address import home_of
 from repro.sim.caches import ProcessorCache, RemoteCache
@@ -114,11 +114,9 @@ class Machine:
         )
         self.locks = LockManager(self.config, self.events)
         self.stats = StatSet()
+        #: Distinct blocks requested per request kind, filled by the
+        #: homes as they count requests (``req_<kind>_blocks``).
         self._request_blocks: dict[str, set[BlockId]] = {}
-        #: Per-kind (stat key, distinct-block set) pairs so the
-        #: per-request accounting neither formats a key string nor
-        #: re-resolves the block set on every request.
-        self._req_count_cache: dict[str, tuple[str, set[BlockId]]] = {}
         #: SWI's last-write table: the block each processor last wrote.
         self._last_written: dict[NodeId, BlockId] = {}
         # Engines and nodes are built before homes so the home
@@ -167,25 +165,6 @@ class Machine:
             return None
         return self._engines[node_id]
 
-    def count_request(self, kind: MessageKind | None, block: BlockId) -> None:
-        """Count one home-serviced request, per kind and per block touched.
-
-        Distinct-block counts separate a few hot blocks ping-ponging from
-        genuinely wide sharing; they surface in ``RunResult.counters`` as
-        ``req_<kind>_blocks`` next to the per-kind request totals.
-        """
-        if kind is None:
-            return
-        value = kind.value
-        cached = self._req_count_cache.get(value)
-        if cached is None:
-            cached = self._req_count_cache[value] = (
-                f"req_{value}",
-                self._request_blocks.setdefault(value, set()),
-            )
-        self.stats.bump(cached[0])
-        cached[1].add(block)
-
     def note_store_hit(self, pid: NodeId, block: BlockId) -> None:
         """A store hit an exclusively held copy (migratory accounting).
 
@@ -211,6 +190,9 @@ class Machine:
         *different* block than last time, SWI predicts the previous
         block is dead and sends a done-writing hint to that block's
         home, which may recall the writable copy early.
+
+        :class:`~repro.sim.processor.Processor` writes this out in its
+        store-miss path; this method serves the MIG-DSM store hit.
         """
         previous = self._last_written.get(pid)
         self._last_written[pid] = block

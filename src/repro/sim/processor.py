@@ -23,6 +23,11 @@ from repro.common.types import BlockId, NodeId
 from repro.sim.caches import CacheState
 from repro.sim.home import MemRequest
 
+_SHARED = CacheState.SHARED
+_EXCLUSIVE = CacheState.EXCLUSIVE
+#: Precomputed ``spec_hits_<origin>`` counter names.
+_SPEC_HIT_KEYS = {"fr": "spec_hits_fr", "swi": "spec_hits_swi"}
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.machine import Machine, NodeContext
 
@@ -33,11 +38,15 @@ class Processor:
     No per-resume closures: every stall-attributed wait (request
     retirement, speculative fill, barrier release, lock grant) passes a
     prebound resume method plus the start cycle as a
-    ``(handler, args)`` event.  The hottest continuations additionally
-    inline the calendar queue's bucket insert and reach directly into
-    the node's cache dictionaries (``ProcessorCache._state`` /
-    ``RemoteCache._entries``) — friend access that trades abstraction
-    for the per-op call frames.
+    ``(handler, args)`` event.  :meth:`_step` is the one frame per op:
+    it dispatches on the op's exact class (reads first, then writes,
+    computes, and the rare lock ops) and writes the load and store
+    paths out in place — cache hit, speculative hit, and the miss issue
+    with SWI's last-write tracking — inlining the calendar queue's
+    bucket insert.  It reaches directly into the node's cache
+    dictionaries (``ProcessorCache._state`` / ``RemoteCache._entries``),
+    the machine's ``StatSet`` counters and its last-write table: friend
+    access that trades abstraction for the per-op call frames.
     """
 
     def __init__(self, pid: NodeId, machine: "Machine", phases: list[Phase]) -> None:
@@ -62,11 +71,19 @@ class Processor:
         self._ev = machine.events
         self._ev_call = machine.events.call
         self._send_call = machine.net.send_call
-        self._stats_bump = machine.stats.bump
+        self._counters = machine.stats._counters
         self._cache_hit_cycles = machine.config.cache_hit_cycles
         self._local_access = machine.config.local_access_cycles
         self._num_nodes = machine.config.num_nodes
         self._engines = machine._engines
+        # Machine.note_write_issued, written out in the store-miss path:
+        # the one last-write table, and whether SWI sends hints from it.
+        self._last_written = machine._last_written
+        self._swi_hints = machine._swi_hints
+        # Store hits matter only to MIG-DSM (Machine.note_store_hit).
+        self._migratory = (
+            self._engines is not None and self._engines[0].migratory_enabled
+        )
         # Bound in start(): machine._nodes / _home_request are built
         # after the processors themselves.
         self._node: "NodeContext | None" = None
@@ -99,9 +116,84 @@ class Processor:
         self._op_index = 0
         self._step()
 
-    def _sched_step(self, delay: int) -> None:
-        """Inlined calendar insert of the prebound step continuation."""
+    def _step(self) -> None:
+        index = self._op_index
+        ops = self._ops
+        if index >= len(ops):
+            self._barrier()
+            return
+        op = ops[index]
+        self._op_index = index + 1
+        cls = op.__class__
+        if cls is MemRead:
+            block = op.block
+            if self._cstate.get(block) is not None:  # can_read
+                self._counters["cache_hits"] += 1
+                delay = self._cache_hit_cycles
+            else:
+                spec = self._rentries.pop(block, None)  # consume
+                if spec is not None:
+                    # Speculative hit: a pushed read-only copy is waiting
+                    # in the remote cache; referencing it verifies the
+                    # speculation.
+                    spec.referenced = True
+                    self._counters[_SPEC_HIT_KEYS[spec.origin]] += 1
+                    engines = self._engines
+                    if engines is not None:
+                        engines[(block >> HOME_SHIFT) % self._num_nodes].spec_feedback(
+                            block, self.pid, used=True
+                        )
+                    self._cstate[block] = _SHARED
+                    self._ev_call(
+                        self._local_access, self._spec_fill_done_fn, self._ev.now
+                    )
+                    return
+                kind = "read"
+                delay = -1  # a miss
+        elif cls is MemWrite:
+            block = op.block
+            if self._cstate.get(block) is _EXCLUSIVE:  # can_write
+                self._counters["cache_hits"] += 1
+                if self._migratory:
+                    self._m.note_store_hit(self.pid, block)
+                delay = self._cache_hit_cycles
+            else:
+                # Machine.note_write_issued: when the processor writes a
+                # different block than last time, SWI hints that the
+                # previous block is dead (sent ahead of the request).
+                pid = self.pid
+                last_written = self._last_written
+                previous = last_written.get(pid)
+                last_written[pid] = block
+                if self._swi_hints and previous is not None and previous != block:
+                    home = (previous >> HOME_SHIFT) % self._num_nodes
+                    hint = MemRequest(kind="swi-recall", block=previous, requester=pid)
+                    self._send_call(pid, home, self._home_request[home], hint)
+                kind = "write"
+                delay = -1  # a miss
+        elif cls is Compute:
+            delay = op.cycles
+        elif cls is LockAcquire:
+            self._acquire(op.lock)
+            return
+        elif cls is LockRelease:
+            self._m.locks.release(op.lock, self.pid)
+            delay = 0
+        else:  # pragma: no cover - defensive
+            raise TypeError(f"unknown op {op!r}")
         queue = self._ev
+        if delay < 0:
+            # Miss: send the request to the block's home and block until
+            # the reply retires it (_request_done).
+            self._outstanding = block
+            request = self._request
+            request.kind = kind
+            request.block = block
+            request.on_done_args = (block, queue.now)
+            home = (block >> HOME_SHIFT) % self._num_nodes
+            self._send_call(self.pid, home, self._home_request[home], request)
+            return
+        # Resume after ``delay`` cycles (the calendar queue's insert).
         time = queue.now + delay
         buckets = queue._buckets
         bucket = buckets.get(time)
@@ -112,75 +204,9 @@ class Processor:
             bucket.append((self._step_fn, ()))
         queue._size += 1
 
-    def _step(self) -> None:
-        if self._op_index >= len(self._ops):
-            self._barrier()
-            return
-        op = self._ops[self._op_index]
-        self._op_index += 1
-        if isinstance(op, Compute):
-            self._sched_step(op.cycles)
-        elif isinstance(op, MemRead):
-            self._load(op.block)
-        elif isinstance(op, MemWrite):
-            self._store(op.block)
-        elif isinstance(op, LockAcquire):
-            self._acquire(op.lock)
-        elif isinstance(op, LockRelease):
-            self._m.locks.release(op.lock, self.pid)
-            self._sched_step(0)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown op {op!r}")
-
-    # ------------------------------------------------------------------
-    # memory operations
-    # ------------------------------------------------------------------
-    def _load(self, block: BlockId) -> None:
-        if self._cstate.get(block) is not None:  # can_read, inlined
-            self._stats_bump("cache_hits")
-            self._sched_step(self._cache_hit_cycles)
-            return
-        spec = self._rentries.pop(block, None)  # consume, inlined
-        if spec is not None:
-            spec.referenced = True
-            # Speculative hit: a pushed read-only copy is waiting in the
-            # remote cache; referencing it verifies the speculation.
-            self._stats_bump(f"spec_hits_{spec.origin}")
-            engines = self._engines
-            if engines is not None:
-                engines[(block >> HOME_SHIFT) % self._num_nodes].spec_feedback(
-                    block, self.pid, used=True
-                )
-            self._cstate[block] = CacheState.SHARED
-            self._ev_call(
-                self._local_access, self._spec_fill_done_fn, self._ev.now
-            )
-            return
-        self._issue("read", block)
-
     def _spec_fill_done(self, started: int) -> None:
         self.stall_cycles += self._ev.now - started
         self._step()
-
-    def _store(self, block: BlockId) -> None:
-        if self._cstate.get(block) is CacheState.EXCLUSIVE:  # can_write
-            self._stats_bump("cache_hits")
-            self._m.note_store_hit(self.pid, block)
-            self._sched_step(self._cache_hit_cycles)
-            return
-        self._issue("write", block)
-
-    def _issue(self, kind: str, block: BlockId) -> None:
-        started = self._ev.now
-        self._outstanding = block
-        if kind == "write":
-            self._m.note_write_issued(self.pid, block)
-        request = self._request
-        request.kind = kind
-        request.block = block
-        request.on_done_args = (block, started)
-        home = (block >> HOME_SHIFT) % self._num_nodes
-        self._send_call(self.pid, home, self._home_request[home], request)
 
     def _request_done(self, block: BlockId, started: int) -> None:
         self._outstanding = None

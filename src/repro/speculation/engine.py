@@ -17,6 +17,10 @@ from repro.predictors.base import HistoryKey, ReadVector
 from repro.predictors.swi import EarlyWriteInvalidateTable
 from repro.predictors.vmsp import Vmsp
 
+_READ = MessageKind.READ
+#: Returned whenever a request triggers no speculative copy.
+_NO_TARGETS: frozenset[NodeId] = frozenset()
+
 
 @dataclass(slots=True)
 class SpeculationStats:
@@ -85,24 +89,29 @@ class SpeculationEngine:
         The first read of a sequence (empty open run) triggers
         speculation for the rest of the predicted read vector
         (Section 4.1).  Later reads of the same run trigger nothing.
-        Requests reach the VMSP through its allocation-free
-        ``observe_request``/``has_open_run`` entry points.
+        The open run is read once: a later read only joins it, and a
+        first read opens it through the VMSP's learn-only
+        ``observe_request``.  Every no-target path returns one shared
+        empty frozenset.
         """
-        self._resolve_swi(block, reader)
-        first_of_run = not self.predictor.has_open_run(block)
-        self.predictor.observe_request(MessageKind.READ, reader, block)
-        if not first_of_run:
-            return frozenset()
-        predicted = self.predictor.predicted_read_vector(block)
-        if predicted is None:
-            return frozenset()
-        return frozenset(predicted - {reader})
+        if self._pending_swi:
+            self._resolve_swi(block, reader)
+        predictor = self.predictor
+        run = predictor._runs.get(block)
+        if run:
+            run.add(reader)
+            return _NO_TARGETS
+        predictor.observe_request(_READ, reader, block)
+        # The run is now exactly {reader}, so the remaining predicted
+        # readers already exclude the requester.
+        return predictor.predicted_read_vector(block) or _NO_TARGETS
 
     def observe_write(
         self, block: BlockId, kind: MessageKind, writer: NodeId
     ) -> None:
         """Observe a write/upgrade request arriving at this home."""
-        self._resolve_swi(block, writer)
+        if self._pending_swi:
+            self._resolve_swi(block, writer)
         self.predictor.observe_request(kind, writer, block)
 
     # ------------------------------------------------------------------
@@ -187,10 +196,7 @@ class SpeculationEngine:
         self.stats.wi_sent += 1
         history = self.predictor.current_history(block)
         self._pending_swi[block] = _PendingSwi(writer=writer, history=history)
-        predicted = self.predictor.predicted_read_vector(block)
-        if predicted is None:
-            return frozenset()
-        return frozenset(predicted)
+        return self.predictor.predicted_read_vector(block) or _NO_TARGETS
 
     def _resolve_swi(self, block: BlockId, requester: NodeId) -> None:
         """The next request for an SWI-recalled block is its verdict."""

@@ -88,6 +88,26 @@ class TestProgramView:
         assert builder.finish().locks == {99}
 
 
+    def test_accesses_share_one_op_per_block(self):
+        """Ops are frozen values, so the builder appends one instance
+        per block again instead of building one per access."""
+        builder = WorkloadBuilder("t", 2)
+        with builder.phase("a"):
+            builder.read(0, 5)
+            builder.read(1, 5)
+            builder.write(0, 5)
+        with builder.phase("b"):
+            builder.read(0, 5)
+            builder.write(1, 5)
+            builder.read(0, 6)
+        phases = builder.finish().phases
+        first_read, write = phases[0].ops_for(0)
+        assert phases[0].ops_for(1)[0] is first_read
+        assert phases[1].ops_for(0)[0] is first_read
+        assert phases[1].ops_for(1)[0] is write
+        assert phases[1].ops_for(0)[1] == MemRead(6)
+
+
 class TestBlockView:
     def test_consecutive_reads_form_one_epoch(self):
         builder = WorkloadBuilder("t", 4)
@@ -128,6 +148,18 @@ class TestBlockView:
             builder.read(1, 7)
         script = builder.finish().scripts[7]
         assert script.epochs[0].readers == (1,)
+
+    def test_stores_by_one_writer_share_one_epoch(self):
+        builder = WorkloadBuilder("t", 2)
+        with builder.phase("a"):
+            builder.write(0, 5)
+            builder.write(0, 6)
+            builder.write(1, 6)
+        scripts = builder.finish().scripts
+        (epoch_5,) = scripts[5].epochs
+        epoch_6, other = scripts[6].epochs
+        assert epoch_5 is epoch_6 and epoch_5 == WriteEpoch(writer=0)
+        assert other == WriteEpoch(writer=1)
 
     def test_blocks_listing_is_sorted(self):
         builder = WorkloadBuilder("t", 4)

@@ -40,7 +40,7 @@ class TestLRUSemantics:
         # touch "a" so "b" becomes least recently used
         assert tier.get("a", tmp_path / "x") is not None
         tier.put("d", entry("d"), 10, None)
-        assert tier.keys() == ["c", "a", "d"]
+        assert list(tier._slots) == ["c", "a", "d"]
         assert tier.evictions == 1
         assert tier.get("b", tmp_path / "x") is None
 
@@ -49,7 +49,7 @@ class TestLRUSemantics:
         fill(tier, ["a", "b"])
         tier.put("a", entry("a2"), 10, None)  # overwrite refreshes
         tier.put("c", entry("c"), 10, None)
-        assert tier.keys() == ["a", "c"]
+        assert list(tier._slots) == ["a", "c"]
 
     def test_byte_bound_evicts(self):
         tier = HotTier(max_entries=100, max_bytes=30)
@@ -57,14 +57,14 @@ class TestLRUSemantics:
         assert len(tier) == 3 and tier.bytes == 30
         tier.put("d", entry("d"), 10, None)
         assert len(tier) == 3 and tier.bytes == 30
-        assert tier.keys() == ["b", "c", "d"]
+        assert list(tier._slots) == ["b", "c", "d"]
 
     def test_oversized_entry_never_admitted(self):
         tier = HotTier(max_entries=10, max_bytes=100)
         fill(tier, ["a", "b"])
         tier.put("huge", entry("huge"), 101, None)
         # nothing evicted for an entry that could never fit
-        assert tier.keys() == ["a", "b"] and tier.evictions == 0
+        assert list(tier._slots) == ["a", "b"] and tier.evictions == 0
 
     def test_stats_shape(self, tmp_path):
         tier = HotTier(max_entries=5, max_bytes=50, validate=True)

@@ -91,7 +91,7 @@ class TestCaching:
         store.store(point, {"echo": "stale", "pid": -1})
         result = ParallelRunner(store=store, refresh=True).run([point])
         assert result.report.executed == 1
-        assert store.load(point)["echo"] == 1
+        assert store.load_entry(point).result["echo"] == 1
 
     def test_partial_cache_runs_only_missing_points(self, tmp_path):
         store = ResultStore(tmp_path)

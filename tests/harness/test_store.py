@@ -21,26 +21,26 @@ class TestRoundTrip:
         store = ResultStore(tmp_path)
         result = {"echo": 1, "nested": {"floats": [0.1, 2.5e-3]}}
         store.store(point, result)
-        assert store.load(point) == result
+        assert store.load_entry(point).result == result
 
     def test_missing_point_is_miss_not_none(self, tmp_path, point):
         store = ResultStore(tmp_path)
-        assert store.load(point) is MISS
+        assert store.load_entry(point) is MISS
         store.store(point, None)
-        assert store.load(point) is None
+        assert store.load_entry(point).result is None
 
     def test_floats_round_trip_bit_for_bit(self, tmp_path, point):
         store = ResultStore(tmp_path)
         values = [0.1 + 0.2, 1 / 3, 1e-300, 6.2831853071795864]
         store.store(point, values)
-        loaded = store.load(point)
+        loaded = store.load_entry(point).result
         assert all(a == b and repr(a) == repr(b) for a, b in zip(values, loaded))
 
     def test_overwrite_replaces(self, tmp_path, point):
         store = ResultStore(tmp_path)
         store.store(point, "old")
         store.store(point, "new")
-        assert store.load(point) == "new"
+        assert store.load_entry(point).result == "new"
         assert len(store) == 1
 
 
@@ -88,27 +88,27 @@ class TestInvalidation:
         a = SweepPoint.make("selftest", {"payload": 1})
         b = SweepPoint.make("selftest", {"payload": 2})
         store.store(a, "A")
-        assert store.load(b) is MISS
+        assert store.load_entry(b) is MISS
 
     def test_fingerprint_change_invalidates(self, tmp_path, point):
         old = ResultStore(tmp_path, fingerprint={"block_bytes": 32})
         old.store(point, "old-config")
         new = ResultStore(tmp_path, fingerprint={"block_bytes": 64})
-        assert new.load(point) is MISS
+        assert new.load_entry(point) is MISS
         # ... without destroying the old configuration's entry.
-        assert old.load(point) == "old-config"
+        assert old.load_entry(point).result == "old-config"
 
     def test_corrupt_entry_is_a_miss(self, tmp_path, point):
         store = ResultStore(tmp_path)
         path = store.store(point, {"fine": True})
         path.write_text("{ truncated", encoding="utf-8")
-        assert store.load(point) is MISS
+        assert store.load_entry(point) is MISS
 
     def test_non_utf8_entry_is_a_miss(self, tmp_path, point):
         store = ResultStore(tmp_path)
         path = store.store(point, {"fine": True})
         path.write_bytes(b"\xff\xfe garbage \x80")
-        assert store.load(point) is MISS
+        assert store.load_entry(point) is MISS
 
 
 class TestTiming:
@@ -119,8 +119,6 @@ class TestTiming:
         assert isinstance(entry, StoredEntry)
         assert entry.result == {"x": 1}
         assert entry.elapsed_s == 0.25
-        # the result-only view is unchanged:
-        assert store.load(point) == {"x": 1}
 
     def test_entry_without_timing_still_loads(self, tmp_path, point):
         """A v1 cache (written before timing existed) is not invalidated."""
@@ -165,7 +163,7 @@ class TestConcurrentWriters:
             thread.join()
         assert not errors
         # whichever writer won, the entry is intact and parseable:
-        assert store.load(point) in (0, 1, 2, 3)
+        assert store.load_entry(point).result in (0, 1, 2, 3)
         # and no staging files were left behind:
         assert not list(tmp_path.glob("selftest/*.tmp"))
 
@@ -177,7 +175,7 @@ class TestConcurrentWriters:
 
         with pytest.raises(TypeError):
             store.store(point, Boom())
-        assert store.load(point) is MISS
+        assert store.load_entry(point) is MISS
         assert not list(tmp_path.glob("selftest/*"))
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.apps.base import Workload
 from repro.common.config import SystemConfig
+from repro.common.types import BlockId, MessageKind
 from repro.sim.caches import ProcessorCache, RemoteCache
 from repro.sim.machine import Machine, MachineMode, NodeContext
 from repro.sim.sync import BarrierManager, LockManager
@@ -62,3 +63,14 @@ class ReferenceMachine(Machine):
         ]
         self._homes = [ReferenceHomeDirectory(n, self) for n in range(num_nodes)]
         self._home_request = [h.request for h in self._homes]
+
+    def count_request(self, kind: MessageKind | None, block: BlockId) -> None:
+        """Count one home-serviced request, per kind and per block touched.
+
+        The reference home calls this once per request; the product
+        home counts in place (``HomeDirectory._count_request``).
+        """
+        if kind is None:
+            return
+        self.stats.bump(f"req_{kind.value}")
+        self._request_blocks.setdefault(kind.value, set()).add(block)

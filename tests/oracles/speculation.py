@@ -1,12 +1,13 @@
 """The speculation engine's Message-boxed observe path (reference oracle).
 
-The product :class:`repro.speculation.engine.SpeculationEngine` presents
-requests to its VMSP through the allocation-free
-``observe_request``/``has_open_run`` entry points.  This subclass keeps
-the original path — one :class:`~repro.common.types.Message` per
-request through ``observe``/``open_run`` — so the reference machine
-exercises the predictor's other entry points and the equivalence suite
-proves both agree.
+The product :class:`repro.speculation.engine.SpeculationEngine` reads a
+block's open run once per read and presents requests to its VMSP
+through the learn-only ``observe_request``, which scores nothing.  This
+subclass keeps the original path — one
+:class:`~repro.common.types.Message` per request through the scoring
+``observe`` and ``open_run`` — so the reference machine exercises the
+predictor's other entry points and the equivalence suites prove both
+learn the same tables and make the same speculative sends.
 """
 
 from __future__ import annotations

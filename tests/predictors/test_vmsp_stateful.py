@@ -118,7 +118,7 @@ class VmspRunMachine(RuleBasedStateMachine):
             self.runs[block] = set()
             self._check_close(block, history, run)
         for block in self.runs:
-            assert not self.vmsp.has_open_run(block)
+            assert not self.vmsp.open_run(block)
 
     # ------------------------------------------------------------------
     # invariants
@@ -128,7 +128,6 @@ class VmspRunMachine(RuleBasedStateMachine):
         for block in range(3):
             expected = frozenset(self.runs.get(block, set()))
             assert self.vmsp.open_run(block) == expected
-            assert self.vmsp.has_open_run(block) == bool(expected)
 
 
 class VmspRunMachineDepth1(VmspRunMachine):

@@ -34,8 +34,8 @@ SEED = 1999
 
 _WORKLOADS: dict[str, object] = {}
 #: Each (app, mode, machine) runs once per module; the equality and
-#: golden tests below share the results.
-_RESULTS: dict[tuple, RunResult] = {}
+#: golden tests below share its result and event count.
+_RUNS: dict[tuple, tuple[RunResult, int]] = {}
 
 
 def workload_for(app: str):
@@ -47,20 +47,36 @@ def workload_for(app: str):
     return _WORKLOADS[app]
 
 
-def run_once(app: str, mode: MachineMode, machine_cls=Machine) -> RunResult:
+def run_counted(
+    app: str, mode: MachineMode, machine_cls=Machine
+) -> tuple[RunResult, int]:
+    """The run's result and the number of events it processed."""
     machine = machine_cls(
         workload_for(app),
         config=SystemConfig(num_nodes=NUM_PROCS),
         mode=mode,
     )
-    return machine.run()
+    result = machine.run()
+    return result, machine.events_processed
+
+
+def run_once(app: str, mode: MachineMode, machine_cls=Machine) -> RunResult:
+    return run_counted(app, mode, machine_cls)[0]
+
+
+def _run_for(app: str, mode: MachineMode, machine_cls) -> tuple[RunResult, int]:
+    key = (app, mode, machine_cls)
+    if key not in _RUNS:
+        _RUNS[key] = run_counted(app, mode, machine_cls)
+    return _RUNS[key]
 
 
 def result_for(app: str, mode: MachineMode, machine_cls=Machine) -> RunResult:
-    key = (app, mode, machine_cls)
-    if key not in _RESULTS:
-        _RESULTS[key] = run_once(app, mode, machine_cls)
-    return _RESULTS[key]
+    return _run_for(app, mode, machine_cls)[0]
+
+
+def events_for(app: str, mode: MachineMode, machine_cls=Machine) -> int:
+    return _run_for(app, mode, machine_cls)[1]
 
 
 def assert_identical(product: RunResult, reference: RunResult) -> None:
@@ -87,6 +103,12 @@ class TestEngineEquivalence:
         assert_identical(
             result_for(app, mode), result_for(app, mode, ReferenceMachine)
         )
+
+    def test_same_events_processed(self, app, mode):
+        """Every protocol hop stays one event: fusing a hop into its
+        sender (or dropping one) lowers the product's count even where
+        the results happen to agree."""
+        assert events_for(app, mode) == events_for(app, mode, ReferenceMachine)
 
     @pytest.mark.parametrize(
         "machine_cls", [Machine, ReferenceMachine], ids=["product", "reference"]

@@ -22,6 +22,13 @@ The machine mirrors the home's contract: a speculative send is only
 recorded for a (block, target) without an outstanding copy — the
 directory's ``grant_speculative_copy`` enforces exactly that gate in
 the real system.
+
+A shadow :class:`~tests.oracles.speculation.ReferenceSpeculationEngine`
+receives every call in lock-step.  Its VMSP learns through the scoring,
+Message-boxed ``observe`` path while the product's learns without
+scoring, so the shadow pins the product's learning: the FR/SWI targets
+each call returns, the :class:`SpeculationStats`, and the predictor's
+pattern, history, confidence and open-run tables must all be equal.
 """
 
 import pytest
@@ -55,6 +62,11 @@ class EngineMachine(RuleBasedStateMachine):
             swi_enabled=True,
             migratory_enabled=True,
         )
+        self.shadow = ReferenceSpeculationEngine(
+            home=0,
+            swi_enabled=True,
+            migratory_enabled=True,
+        )
         # The model ledger.
         self.outstanding: dict[tuple[int, int], str] = {}
         self.sent = {"fr": 0, "swi": 0}
@@ -82,6 +94,7 @@ class EngineMachine(RuleBasedStateMachine):
         if (block, target) in self.outstanding:
             return
         self.engine.record_spec_sent(block, target, origin)
+        self.shadow.record_spec_sent(block, target, origin)
         self.outstanding[(block, target)] = origin
         self.sent[origin] += 1
 
@@ -92,6 +105,7 @@ class EngineMachine(RuleBasedStateMachine):
     def observe_read(self, block: int, reader: int) -> None:
         self._model_resolve_swi(block, reader)
         targets = self.engine.observe_read(block, reader)
+        assert targets == self.shadow.observe_read(block, reader)
         assert reader not in targets  # never pushes to the requester
         for target in sorted(targets):
             self._model_record(block, target, "fr")
@@ -100,10 +114,12 @@ class EngineMachine(RuleBasedStateMachine):
     def observe_write(self, block: int, kind, writer: int) -> None:
         self._model_resolve_swi(block, writer)
         self.engine.observe_write(block, kind, writer)
+        self.shadow.observe_write(block, kind, writer)
 
     @rule(block=BLOCKS, writer=NODES)
     def swi_recall_completed(self, block: int, writer: int) -> None:
         targets = self.engine.swi_invalidated(block, writer)
+        assert targets == self.shadow.swi_invalidated(block, writer)
         self.wi_sent += 1
         self.pending_swi[block] = writer
         for target in sorted(targets):
@@ -113,6 +129,7 @@ class EngineMachine(RuleBasedStateMachine):
     def feedback(self, block: int, node: int, used: bool, raced: bool) -> None:
         origin = self.outstanding.pop((block, node), None)
         self.engine.spec_feedback(block, node, used=used, raced=raced)
+        self.shadow.spec_feedback(block, node, used=used, raced=raced)
         if origin is None:
             return  # no outstanding copy: the engine ignores the verdict
         if raced:
@@ -127,6 +144,7 @@ class EngineMachine(RuleBasedStateMachine):
     @rule(block=BLOCKS, reader=NODES)
     def migratory_grant(self, block: int, reader: int) -> None:
         self.engine.record_migratory_grant(block, reader)
+        self.shadow.record_migratory_grant(block, reader)
         self.pending_mig[block] = reader
         self.mig_grants += 1
 
@@ -134,6 +152,7 @@ class EngineMachine(RuleBasedStateMachine):
     def migratory_written(self, block: int, writer: int) -> None:
         expected = self.pending_mig.get(block)
         self.engine.migratory_written(block, writer)
+        self.shadow.migratory_written(block, writer)
         if expected == writer:
             del self.pending_mig[block]
             self.mig_saves += 1
@@ -145,6 +164,7 @@ class EngineMachine(RuleBasedStateMachine):
     def migratory_recalled(self, block: int, owner: int) -> None:
         expected = self.pending_mig.get(block)
         self.engine.migratory_recalled(block, owner)
+        self.shadow.migratory_recalled(block, owner)
         if expected == owner:
             del self.pending_mig[block]
             self.mig_demotions += 1
@@ -196,6 +216,16 @@ class EngineMachine(RuleBasedStateMachine):
         assert stats.migratory_grants == self.mig_grants
         assert stats.migratory_upgrades_saved == self.mig_saves
         assert stats.migratory_demotions == self.mig_demotions
+
+
+    @invariant()
+    def shadow_learns_the_same(self) -> None:
+        assert self.engine.stats == self.shadow.stats
+        product, reference = self.engine.predictor, self.shadow.predictor
+        assert product._patterns == reference._patterns
+        assert product._history == reference._history
+        assert product._confidence == reference._confidence
+        assert product._runs == reference._runs
 
 
 class FastPathEngineMachine(EngineMachine):
