@@ -126,12 +126,7 @@ class Message:
 
 
 class DirectoryState(enum.Enum):
-    """Stable states of the full-map write-invalidate directory FSM.
-
-    Hashes by identity, like :class:`MessageKind`.
-    """
-
-    __hash__ = object.__hash__
+    """Stable states of the full-map write-invalidate directory FSM."""
 
     IDLE = "idle"
     SHARED = "shared"

@@ -59,9 +59,10 @@ class Vmsp(DirectoryPredictor):
         self.stats.record(outcome)
         return outcome
 
-    def observe_request(self, kind: MessageKind, node: NodeId, block: BlockId) -> None:
+    def observe_request(self, kind: MessageKind, node: NodeId, block: BlockId) -> bool:
         """Learn one request without scoring it or boxing it in a
-        :class:`Message`.
+        :class:`Message`; return whether it was a read that opened the
+        block's run.
 
         The speculation engine's path: one call per directory
         transaction.  A read joins the block's open run; a write or
@@ -76,9 +77,10 @@ class Vmsp(DirectoryPredictor):
             run = self._runs.get(block)
             if run is None:
                 self._runs[block] = {node}
-            else:
-                run.add(node)
-            return
+                return True
+            opened = not run
+            run.add(node)
+            return opened
         history = self._history.get(block, ())
         run = self._runs.get(block)
         if run:
@@ -89,6 +91,7 @@ class Vmsp(DirectoryPredictor):
         token = (kind, node)
         self._learn(block, history, token)
         self._history[block] = (history + (token,))[-self.depth :]
+        return False
 
     # ------------------------------------------------------------------
     # reads: scored against the currently predicted vector

@@ -190,9 +190,6 @@ class Machine:
         *different* block than last time, SWI predicts the previous
         block is dead and sends a done-writing hint to that block's
         home, which may recall the writable copy early.
-
-        :class:`~repro.sim.processor.Processor` writes this out in its
-        store-miss path; this method serves the MIG-DSM store hit.
         """
         previous = self._last_written.get(pid)
         self._last_written[pid] = block

@@ -41,12 +41,13 @@ class Processor:
     ``(handler, args)`` event.  :meth:`_step` is the one frame per op:
     it dispatches on the op's exact class (reads first, then writes,
     computes, and the rare lock ops) and writes the load and store
-    paths out in place — cache hit, speculative hit, and the miss issue
-    with SWI's last-write tracking — inlining the calendar queue's
-    bucket insert.  It reaches directly into the node's cache
-    dictionaries (``ProcessorCache._state`` / ``RemoteCache._entries``),
-    the machine's ``StatSet`` counters and its last-write table: friend
-    access that trades abstraction for the per-op call frames.
+    paths out in place — cache hit, speculative hit and the miss issue
+    — inlining the calendar queue's bucket insert.  A store miss first
+    goes through :meth:`Machine.note_write_issued`, SWI's one
+    last-write table.  It reaches directly into the node's cache
+    dictionaries (``ProcessorCache._state`` / ``RemoteCache._entries``)
+    and the machine's ``StatSet`` counters: friend access that trades
+    abstraction for the per-op call frames.
     """
 
     def __init__(self, pid: NodeId, machine: "Machine", phases: list[Phase]) -> None:
@@ -76,10 +77,6 @@ class Processor:
         self._local_access = machine.config.local_access_cycles
         self._num_nodes = machine.config.num_nodes
         self._engines = machine._engines
-        # Machine.note_write_issued, written out in the store-miss path:
-        # the one last-write table, and whether SWI sends hints from it.
-        self._last_written = machine._last_written
-        self._swi_hints = machine._swi_hints
         # Store hits matter only to MIG-DSM (Machine.note_store_hit).
         self._migratory = (
             self._engines is not None and self._engines[0].migratory_enabled
@@ -158,17 +155,7 @@ class Processor:
                     self._m.note_store_hit(self.pid, block)
                 delay = self._cache_hit_cycles
             else:
-                # Machine.note_write_issued: when the processor writes a
-                # different block than last time, SWI hints that the
-                # previous block is dead (sent ahead of the request).
-                pid = self.pid
-                last_written = self._last_written
-                previous = last_written.get(pid)
-                last_written[pid] = block
-                if self._swi_hints and previous is not None and previous != block:
-                    home = (previous >> HOME_SHIFT) % self._num_nodes
-                    hint = MemRequest(kind="swi-recall", block=previous, requester=pid)
-                    self._send_call(pid, home, self._home_request[home], hint)
+                self._m.note_write_issued(self.pid, block)
                 kind = "write"
                 delay = -1  # a miss
         elif cls is Compute:

@@ -89,19 +89,15 @@ class SpeculationEngine:
         The first read of a sequence (empty open run) triggers
         speculation for the rest of the predicted read vector
         (Section 4.1).  Later reads of the same run trigger nothing.
-        The open run is read once: a later read only joins it, and a
-        first read opens it through the VMSP's learn-only
-        ``observe_request``.  Every no-target path returns one shared
-        empty frozenset.
+        The VMSP's learn-only ``observe_request`` adds the reader to
+        the open run and says whether it opened the run.  Every
+        no-target path returns one shared empty frozenset.
         """
         if self._pending_swi:
             self._resolve_swi(block, reader)
         predictor = self.predictor
-        run = predictor._runs.get(block)
-        if run:
-            run.add(reader)
+        if not predictor.observe_request(_READ, reader, block):
             return _NO_TARGETS
-        predictor.observe_request(_READ, reader, block)
         # The run is now exactly {reader}, so the remaining predicted
         # readers already exclude the requester.
         return predictor.predicted_read_vector(block) or _NO_TARGETS

@@ -1,9 +1,9 @@
 """The speculation engine's Message-boxed observe path (reference oracle).
 
-The product :class:`repro.speculation.engine.SpeculationEngine` reads a
-block's open run once per read and presents requests to its VMSP
-through the learn-only ``observe_request``, which scores nothing.  This
-subclass keeps the original path — one
+The product :class:`repro.speculation.engine.SpeculationEngine` presents
+each request to its VMSP once, through the learn-only
+``observe_request``, which scores nothing and says whether a read
+opened the block's run.  This subclass keeps the original path — one
 :class:`~repro.common.types.Message` per request through the scoring
 ``observe`` and ``open_run`` — so the reference machine exercises the
 predictor's other entry points and the equivalence suites prove both
