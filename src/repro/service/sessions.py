@@ -42,6 +42,7 @@ DEFAULT_SESSION_TTL_S = 300.0
 DEFAULT_MAX_EVENTS = 100_000
 
 _KIND_BY_NAME = {kind.value: kind for kind in MessageKind}
+_EVENT_FIELDS = {"kind", "node", "block"}
 
 
 class SessionError(Exception):
@@ -85,10 +86,11 @@ def parse_event(obj: Any, num_procs: int) -> Message:
     """
     if not isinstance(obj, dict):
         raise ValueError(f"event must be a JSON object, got {obj!r}")
-    unknown = set(obj) - {"kind", "node", "block"}
+    unknown = set(obj) - _EVENT_FIELDS
     if unknown:
         raise ValueError(f"unknown event field(s): {', '.join(sorted(unknown))}")
-    kind = _KIND_BY_NAME.get(obj.get("kind"))
+    kind = obj.get("kind")
+    kind = _KIND_BY_NAME.get(kind) if isinstance(kind, str) else None
     if kind is None:
         raise ValueError(
             f"bad event kind {obj.get('kind')!r} "
@@ -110,8 +112,28 @@ def parse_event(obj: Any, num_procs: int) -> Message:
 
 
 def parse_ndjson_events(body: bytes, num_procs: int) -> list[Message]:
-    """Decode an NDJSON batch; ValueError names the offending line."""
-    messages: list[Message] = []
+    """Decode an NDJSON batch; ValueError names the offending line.
+
+    The batch is decoded with one ``json.loads`` over its lines, each
+    wrapped in its own one-element array, and accepted only if every
+    line decoded to exactly one valid event.  Anything else — a syntax
+    error, a bad encoding, a count mismatch, a failed check — reruns
+    the line-by-line decode, which raises the line-numbered error (or
+    accepts what a line alone decodes to, such as a line with a UTF-8
+    byte-order mark).
+
+    The wrapping keeps line boundaries structural: a plain comma join
+    would accept an object split across two lines at a dropped comma.
+    A body holding any bracket goes straight to the line loop, so every
+    bracket in the joined text is one inserted here; no line can then
+    donate an element to its neighbour, even by hiding brackets in a
+    value a duplicate key overwrites.
+    """
+    if b"[" not in body and b"]" not in body:
+        messages = _decode_batch(body, num_procs)
+        if messages is not None:
+            return messages
+    messages = []
     for lineno, raw in enumerate(body.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -127,18 +149,55 @@ def parse_ndjson_events(body: bytes, num_procs: int) -> list[Message]:
     return messages
 
 
-def encode_token(token: Token | None) -> dict[str, Any] | None:
-    """A predictor token as JSON: request pair or VMSP reader vector."""
-    if token is None:
+def _decode_batch(body: bytes, num_procs: int) -> list[Message] | None:
+    """The batch's messages from one ``json.loads``, or None unless
+    every non-blank line decoded to one row holding one valid event."""
+    lines = [line for line in map(bytes.strip, body.splitlines()) if line]
+    try:
+        rows = json.loads(b"[[" + b"],[".join(lines) + b"]]")
+    except ValueError:
         return None
+    if len(rows) != len(lines):
+        return None
+    messages = []
+    append = messages.append
+    for row in rows:
+        if type(row) is not list or len(row) != 1:
+            return None
+        event = row[0]
+        if type(event) is not dict or event.keys() != _EVENT_FIELDS:
+            return None
+        kind, node, block = event["kind"], event["node"], event["block"]
+        if type(kind) is not str or type(node) is not int or type(block) is not int:
+            return None
+        kind = _KIND_BY_NAME.get(kind)
+        if kind is None or not 0 <= node < num_procs or block < 0:
+            return None
+        append(Message(kind, node, block))
+    return messages
+
+
+def encode_token(token: Token | None) -> str:
+    """A predictor token's JSON text: request pair or VMSP reader vector."""
+    if token is None:
+        return "null"
     if isinstance(token, ReadVector):
-        return {"readers": sorted(token.readers)}
+        return '{"readers": [%s]}' % ", ".join(map(str, sorted(token.readers)))
     kind, node = token
-    return {"kind": kind.value, "node": node}
+    return '{"kind": "%s", "node": %d}' % (kind.value, node)
 
 
 def encode_message(message: Message) -> dict[str, Any]:
     return {"kind": message.kind.value, "node": message.node, "block": message.block}
+
+
+#: One prediction line: the keys in sorted order with ``json.dumps``'s
+#: separators, so a line equals ``json.dumps(line, sort_keys=True)``.
+#: ``%r`` is json's float text for the always-finite ratios.
+_PREDICTION_LINE = (
+    '{"accuracy": %r, "correct": %d, "coverage": %r, "observed": %d, '
+    '"outcome": "%s", "predicted": %s, "seq": %d}\n'
+)
 
 
 # ----------------------------------------------------------------------
@@ -177,8 +236,9 @@ class PredictorSession:
         self.created_monotonic = now_monotonic
         self.last_active = now_monotonic
 
-    def feed(self, message: Message) -> dict[str, Any]:
-        """Apply one event; the NDJSON prediction line it earns.
+    def feed(self, message: Message) -> str:
+        """Apply one event; the NDJSON prediction line it earns, with
+        its newline.
 
         ``outcome`` scores this event against what the predictor
         expected; ``predicted`` is the token now predicted to arrive
@@ -186,17 +246,18 @@ class PredictorSession:
         identical to the batch path's accounting.
         """
         self.events += 1
-        outcome = self.predictor.observe(message)
-        stats = self.predictor.stats
-        return {
-            "seq": self.events,
-            "outcome": outcome.value,
-            "predicted": encode_token(self.predictor.predicted_next(message.block)),
-            "observed": stats.observed,
-            "correct": stats.correct,
-            "accuracy": stats.accuracy,
-            "coverage": stats.coverage,
-        }
+        predictor = self.predictor
+        outcome = predictor.observe(message)
+        stats = predictor.stats
+        return _PREDICTION_LINE % (
+            stats.accuracy,
+            stats.correct,
+            stats.coverage,
+            stats.observed,
+            outcome.value,
+            encode_token(predictor.predicted_next(message.block)),
+            self.events,
+        )
 
     def status(self, now_monotonic: float) -> dict[str, Any]:
         stats = self.predictor.stats
@@ -366,7 +427,7 @@ class SessionTable:
             )
         return session
 
-    def feed(self, session_id: str, messages: Iterable[Message]) -> list[dict[str, Any]]:
+    def feed(self, session_id: str, messages: Iterable[Message]) -> list[str]:
         """Apply one event batch atomically; one prediction line each.
 
         The whole batch is bounds-checked up front (413 before any

@@ -10,9 +10,18 @@ byte-identical to a batch accuracy run over the same event sequence.
 
 import asyncio
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from http.client import HTTPConnection
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.common.types import Message, MessageKind
 from repro.eval.cli import main as cli_main
 from repro.service.client import (
@@ -30,7 +39,7 @@ from repro.service.sessions import (
 )
 
 from tests.oracles import run_predictors_reference
-from tests.service.test_service import http_request, run_with_service
+from tests.service.test_service import http_request, read_response, run_with_service
 
 
 class FakeClock:
@@ -73,6 +82,8 @@ class TestEventCodec:
             ({"kind": "read", "node": True, "block": 0}, "non-negative"),
             ({"kind": "read", "node": 0, "block": "b"}, "block must be"),
             ({"kind": "read", "node": 0, "block": 0, "x": 1}, "unknown event field"),
+            ({"kind": ["read"], "node": 0, "block": 0}, "bad event kind"),
+            ({"kind": {"read": 1}, "node": 0, "block": 0}, "bad event kind"),
         ],
     )
     def test_bad_events_are_rejected(self, event, complaint):
@@ -82,6 +93,15 @@ class TestEventCodec:
     def test_ndjson_errors_name_the_line(self):
         body = b'{"kind": "read", "node": 0, "block": 0}\n{"kind": "nope"}\n'
         with pytest.raises(ValueError, match="line 2"):
+            parse_ndjson_events(body, num_procs=4)
+
+    def test_ndjson_object_split_over_lines_is_rejected(self):
+        """Only a comma read between the lines would make them events."""
+        body = (
+            b'{"kind": "read", "node": 0, "block": 0}, '
+            b'{"kind": "read", "node": 1\n"block": 3}\n'
+        )
+        with pytest.raises(ValueError, match="line 1: invalid JSON"):
             parse_ndjson_events(body, num_procs=4)
 
     def test_ndjson_skips_blank_lines(self):
@@ -99,7 +119,8 @@ class TestSessionTable:
         table, clock = make_table()
         session = table.open("MSP", depth=1, num_procs=4)
         lines = table.feed(session.id, [msg(MessageKind.WRITE, node=n) for n in (0, 1)])
-        assert [line["seq"] for line in lines] == [1, 2]
+        assert all(line.endswith("\n") for line in lines)
+        assert [json.loads(line)["seq"] for line in lines] == [1, 2]
         summary = table.close(session.id)
         assert summary["events"] == 2
         assert set(summary["run"]) == {
@@ -198,6 +219,22 @@ class TestSessionTable:
 # end to end: real server, real sockets, real client
 # ----------------------------------------------------------------------
 TRACE_KWARGS = {"num_procs": 4, "iterations": 2}
+
+
+async def post_ndjson(port, target, payload):
+    """POST a raw NDJSON body; (status, JSON payload) of a non-streamed
+    answer such as an error."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(
+            f"POST {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+            f"Content-Length: {len(payload)}\r\n\r\n".encode() + payload
+        )
+        await writer.drain()
+        status, body, _headers = await read_response(reader)
+        return status, body
+    finally:
+        writer.close()
 
 
 class TestSessionsOverHttp:
@@ -344,6 +381,34 @@ class TestSessionsOverHttp:
 
         run_with_service(tmp_path, scenario)
 
+    def test_non_string_kind_is_a_400_naming_the_line(self, tmp_path):
+        """A list or dict ``kind`` is a bad event, answered 400 naming
+        its line, not an unhashable-key crash answered 500; the batch
+        is not applied."""
+
+        async def scenario(service):
+            status, opened = await http_request(
+                service.port, "/v1/sessions", method="POST", body={"num_procs": 2}
+            )
+            assert status == 201
+            for kind in (b'["read"]', b'{"read": 1}'):
+                payload = (
+                    b'{"kind": "read", "node": 0, "block": 0}\n'
+                    b'{"kind": ' + kind + b', "node": 1, "block": 2}\n'
+                )
+                status, body = await post_ndjson(
+                    service.port, opened["events_url"], payload
+                )
+                assert status == 400, body
+                assert "line 2" in body["error"]
+                assert "bad event kind" in body["error"]
+            status, body = await http_request(
+                service.port, f"/v1/sessions/{opened['session']}"
+            )
+            assert status == 200 and body["events"] == 0
+
+        run_with_service(tmp_path, scenario)
+
     def test_table_full_maps_to_429_with_retry_after(self, tmp_path):
         async def scenario(service):
             status, _ = await http_request(
@@ -435,3 +500,55 @@ class TestSessionsOverHttp:
             assert sessions["events_observed"] == len(events)
 
         run_with_service(tmp_path, scenario)
+
+
+# ----------------------------------------------------------------------
+# the serve process
+# ----------------------------------------------------------------------
+class TestServeProcess:
+    def test_sigint_stops_serve_with_sessions_open(self, tmp_path):
+        """``repro-paper serve`` exits 0 within 5 s of SIGINT while two
+        idle keep-alive connections each hold an open, fed session;
+        SIGINT is how a benchmark run stops its server."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.eval.cli", "serve", "--port", "0",
+             "--no-cache"],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        connections = []
+        try:
+            announce = proc.stdout.readline()
+            match = re.search(r"listening on http://[0-9.]+:([0-9]+)", announce)
+            assert match, f"no listening line: {announce!r}"
+            batch = b'{"kind": "write", "node": 1, "block": 0}\n' * 5
+            for _ in range(2):
+                conn = HTTPConnection("127.0.0.1", int(match.group(1)), timeout=10)
+                connections.append(conn)
+                conn.request("POST", "/v1/sessions", body=b'{"num_procs": 4}')
+                answer = conn.getresponse()
+                opened = json.loads(answer.read())
+                assert answer.status == 201, opened
+                conn.request("POST", opened["events_url"], body=batch)
+                answer = conn.getresponse()
+                assert answer.status == 200
+                assert answer.read().count(b"\n") == 5
+            started = time.monotonic()
+            proc.send_signal(signal.SIGINT)
+            try:
+                code = proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                pytest.fail(f"serve outlived SIGINT by 5 s: {proc.communicate()[1]}")
+            assert code == 0, proc.stderr.read()
+            assert time.monotonic() - started < 5
+        finally:
+            for conn in connections:
+                conn.close()
+            if proc.poll() is None:
+                proc.kill()
+            proc.communicate()
