@@ -155,7 +155,9 @@ def _decode_batch(body: bytes, num_procs: int) -> list[Message] | None:
     lines = [line for line in map(bytes.strip, body.splitlines()) if line]
     try:
         rows = json.loads(b"[[" + b"],[".join(lines) + b"]]")
-    except ValueError:
+    except (ValueError, RecursionError):
+        # Wrapped, a line sits two arrays deeper than alone, so a line
+        # nested just under the recursion limit may fail here only.
         return None
     if len(rows) != len(lines):
         return None

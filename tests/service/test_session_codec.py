@@ -5,9 +5,9 @@ Two properties pin the streaming API's bytes:
 (a) **Decoder.** On generated NDJSON batches, valid and invalid,
     :func:`parse_ndjson_events` returns the same messages as the
     line-by-line reference decoder, or raises the same error with the
-    same text.  Comma-cut and bracket-cut batches and the examples
-    below are the inputs a whole-batch decode could read differently
-    from its lines.
+    same text.  Comma-cut and bracket-cut batches, nesting near the
+    recursion limit and the examples below are the inputs a
+    whole-batch decode could read differently from its lines.
 (b) **Lines.** Every prediction line :meth:`PredictorSession.feed`
     returns is byte-equal to the dict-plus-``json.dumps`` reference
     line, for each predictor at history depths 1, 2 and 4.
@@ -98,6 +98,34 @@ def test_comma_cut_batches_decode_like_the_line_loop(body):
 @DETERMINISM_SETTINGS
 def test_bracket_cut_batches_decode_like_the_line_loop(body):
     assert_decodes_like_reference(body, NUM_PROCS)
+
+
+def nested_event(depth):
+    """A valid event whose overwritten duplicate ``kind`` is ``depth``
+    objects deep."""
+    return (
+        b'{"kind": ' + b'{"a": ' * depth + b"1" + b"}" * depth
+        + b', "kind": "read", "node": 0, "block": 0}\n'
+    )
+
+
+def test_nesting_near_the_recursion_limit_decodes_like_the_line_loop():
+    """Wrapped, each line sits two arrays deeper than the line loop
+    parses it, so near the interpreter's recursion limit the one
+    decode can fail where the line alone decodes; it must fall back."""
+
+    def accepted(depth):
+        body = nested_event(depth)
+        return type(decoded(parse_ndjson_events_reference, body, NUM_PROCS)) is list
+
+    low, high = 1, 2
+    while accepted(high):
+        low, high = high, 2 * high
+    while high - low > 1:  # accepted(low) and not accepted(high)
+        middle = (low + high) // 2
+        low, high = (middle, high) if accepted(middle) else (low, middle)
+    for depth in range(low - 8, high + 3):
+        assert_decodes_like_reference(nested_event(depth), NUM_PROCS)
 
 
 def test_valid_batches_take_the_one_decode(monkeypatch):
