@@ -148,7 +148,6 @@ class ReproService:
         )
         self._server: asyncio.Server | None = None
         self._reaper: asyncio.Task | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
 
     # ------------------------------------------------------------------
     @property
@@ -184,36 +183,34 @@ class ReproService:
             self.sessions.reap()
 
     async def stop(self) -> None:
-        """Stop accepting, close open connections, drain in-flight
-        computations, free the pool."""
+        """Stop accepting, drain in-flight computations, free the pool.
+
+        Open connections are left to the event loop's shutdown: a
+        request whose computation is in flight is still answered during
+        the drain.  Server.wait_closed() is not awaited, as from Python
+        3.12.1 it waits for every open connection, idle keep-alive ones
+        included, until their idle timeout."""
         server, self._server = self._server, None
         reaper, self._reaper = self._reaper, None
         if reaper is not None:
             reaper.cancel()
         if server is not None:
             server.close()
-            # From Python 3.12.1 wait_closed() waits for every open
-            # connection, so an idle keep-alive one would hold the stop
-            # until its idle timeout.
-            for writer in list(self._connections):
-                writer.close()
-            await server.wait_closed()
         await self.pool.drain()
         self.runner.close()
 
     async def serve_forever(self) -> None:
         if self._server is None:
             await self.start()
-        # The server is already accepting; wait to be cancelled, and
-        # leave closing to stop(), as Server.serve_forever() would wait
-        # for every open connection first.
+        # The server is already accepting; wait to be cancelled and
+        # leave closing to stop(): from Python 3.12.1, a cancelled
+        # Server.serve_forever() waits for every open connection.
         await asyncio.get_running_loop().create_future()
 
     # ------------------------------------------------------------------
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._connections.add(writer)
         try:
             while True:
                 try:
@@ -263,7 +260,6 @@ class ReproService:
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
         finally:
-            self._connections.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()

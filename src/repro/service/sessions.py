@@ -86,8 +86,8 @@ def parse_event(obj: Any, num_procs: int) -> Message:
     """
     if not isinstance(obj, dict):
         raise ValueError(f"event must be a JSON object, got {obj!r}")
-    unknown = set(obj) - _EVENT_FIELDS
-    if unknown:
+    if not obj.keys() <= _EVENT_FIELDS:
+        unknown = obj.keys() - _EVENT_FIELDS
         raise ValueError(f"unknown event field(s): {', '.join(sorted(unknown))}")
     kind = obj.get("kind")
     kind = _KIND_BY_NAME.get(kind) if isinstance(kind, str) else None
@@ -108,7 +108,7 @@ def parse_event(obj: Any, num_procs: int) -> Message:
         raise ValueError(
             f"event block must be a non-negative integer, got {block!r}"
         )
-    return Message(kind=kind, node=node, block=block)
+    return Message(kind, node, block)
 
 
 def parse_ndjson_events(body: bytes, num_procs: int) -> list[Message]:
@@ -159,24 +159,13 @@ def _decode_batch(body: bytes, num_procs: int) -> list[Message] | None:
         # Wrapped, a line sits two arrays deeper than alone, so a line
         # nested just under the recursion limit may fail here only.
         return None
-    if len(rows) != len(lines):
+    try:
+        messages = [parse_event(event, num_procs) for (event,) in rows]
+    except ValueError:
+        # a bad event, or a row of more than one value (a line holding
+        # two events)
         return None
-    messages = []
-    append = messages.append
-    for row in rows:
-        if type(row) is not list or len(row) != 1:
-            return None
-        event = row[0]
-        if type(event) is not dict or event.keys() != _EVENT_FIELDS:
-            return None
-        kind, node, block = event["kind"], event["node"], event["block"]
-        if type(kind) is not str or type(node) is not int or type(block) is not int:
-            return None
-        kind = _KIND_BY_NAME.get(kind)
-        if kind is None or not 0 <= node < num_procs or block < 0:
-            return None
-        append(Message(kind, node, block))
-    return messages
+    return messages if len(messages) == len(lines) else None
 
 
 def encode_token(token: Token | None) -> str:

@@ -5,7 +5,9 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
+from http.client import HTTPConnection
 from pathlib import Path
 
 import pytest
@@ -403,6 +405,38 @@ class TestPointEndpoint:
             assert CALLS["default"] == 1
 
         run_with_service(tmp_path, scenario, timeout_s=0.05)
+
+    def test_point_in_flight_at_stop_is_answered(self, tmp_path):
+        """Stopping drains the computation a request waits on, and that
+        request is answered before the event loop's shutdown cancels
+        the connections, as when SIGINT stops ``serve``."""
+        answers = []
+
+        def client(port):
+            conn = HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                conn.request("GET", "/v1/point?kind=svc_probe&payload=1&gate=stop")
+                answer = conn.getresponse()
+                answers.append((answer.status, json.loads(answer.read())))
+            finally:
+                conn.close()
+
+        async def main():
+            service = ReproService(service_config(tmp_path))
+            await service.start()
+            thread = threading.Thread(target=client, args=(service.port,))
+            thread.start()
+            await settle(lambda: service.pool.in_flight == 1)
+            # Release the computation only once stop() is draining it.
+            asyncio.get_running_loop().call_later(0.1, gate("stop").set)
+            await service.stop()
+            return thread
+
+        thread = asyncio.run(main())
+        thread.join(timeout=10)
+        assert len(answers) == 1
+        status, body = answers[0]
+        assert status == 200 and body["result"]["echo"] == 1
 
 
 class TestSweepJobs:

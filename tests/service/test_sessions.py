@@ -95,15 +95,6 @@ class TestEventCodec:
         with pytest.raises(ValueError, match="line 2"):
             parse_ndjson_events(body, num_procs=4)
 
-    def test_ndjson_object_split_over_lines_is_rejected(self):
-        """Only a comma read between the lines would make them events."""
-        body = (
-            b'{"kind": "read", "node": 0, "block": 0}, '
-            b'{"kind": "read", "node": 1\n"block": 3}\n'
-        )
-        with pytest.raises(ValueError, match="line 1: invalid JSON"):
-            parse_ndjson_events(body, num_procs=4)
-
     def test_ndjson_skips_blank_lines(self):
         body = b'\n{"kind": "read", "node": 1, "block": 2}\n\n'
         assert parse_ndjson_events(body, num_procs=4) == [
