@@ -70,13 +70,6 @@ REQUEST_KINDS = frozenset(
 )
 ACK_KINDS = frozenset({MessageKind.ACK, MessageKind.WRITEBACK})
 
-#: Number of distinct message kinds a general message predictor encodes.
-#: Three requests plus two acknowledgement kinds -> 3 bits (Section 7.3).
-GENERAL_MESSAGE_KIND_COUNT = 5
-
-#: Number of request kinds an MSP encodes -> 2 bits (Section 7.3).
-REQUEST_KIND_COUNT = 3
-
 #: Fixed integer encoding of message kinds: code = index into this
 #: tuple.  Codes 0..2 are the request kinds (READ/WRITE/UPGRADE),
 #: matching :data:`REQUEST_KINDS`; 3..4 are acknowledgements.

@@ -77,16 +77,20 @@ from repro.harness import (
     DEFAULT_CLAIM_TTL_S,
     MISS,
     ClaimBoard,
-    ClaimedRunner,
     ParallelRunner,
     ResultStore,
     SweepError,
     SweepSpec,
+    open_runner,
     runner_kinds,
 )
 
-def _default_cache_dir() -> str:
-    """Resolved per invocation so REPRO_CACHE_DIR set after import works."""
+
+def _cache_dir(args: argparse.Namespace) -> str:
+    """``--cache-dir``, else REPRO_CACHE_DIR, else ``.repro-cache``;
+    resolved per invocation so REPRO_CACHE_DIR set after import works."""
+    if args.cache_dir is not None:
+        return args.cache_dir
     return os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
 
 
@@ -150,41 +154,20 @@ def _add_harness_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _validate_claim_options(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> None:
-    """Reject claim-flag combinations that contradict the protocol."""
-    if args.claim_dir is None:
-        return
-    if args.no_cache:
-        parser.error("--claim-dir requires the result cache (drop --no-cache)")
-    if args.refresh:
-        parser.error(
-            "--claim-dir cannot be combined with --refresh "
-            "(every worker would recompute every point)"
-        )
-    if args.claim_ttl <= 0:
-        parser.error("--claim-ttl must be > 0 seconds")
-
-
 def _make_runner(
     args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> ParallelRunner | ClaimedRunner:
-    from repro.trace import configure_trace_cache
-
-    cache_dir = args.cache_dir if args.cache_dir is not None else _default_cache_dir()
-    store = None if args.no_cache else ResultStore(cache_dir)
-    # Compiled traces share the point cache's directory (under trace/);
-    # forked sweep workers inherit the configuration.
-    configure_trace_cache(None if args.no_cache else cache_dir)
-    if args.claim_dir is None:
-        return ParallelRunner(jobs=args.jobs, store=store, refresh=args.refresh)
-    _validate_claim_options(args, parser)
-    return ClaimedRunner(
-        ClaimBoard(args.claim_dir, owner=args.worker_id, ttl_s=args.claim_ttl),
-        jobs=args.jobs,
-        store=store,
-    )
+) -> ParallelRunner:
+    try:
+        return open_runner(
+            jobs=args.jobs,
+            cache_dir=None if args.no_cache else _cache_dir(args),
+            refresh=args.refresh,
+            claim_dir=args.claim_dir,
+            worker_id=args.worker_id,
+            claim_ttl_s=args.claim_ttl,
+        )
+    except ValueError as exc:
+        parser.error(f"--claim-dir: {exc}")
 
 
 def _parse_axis(text: str) -> tuple[str, list[Any]]:
@@ -268,10 +251,7 @@ def _sweep_main(argv: list[str]) -> int:
             parser.error(
                 "--follow computes nothing and takes no claims; drop --claim-dir"
             )
-        cache_dir = (
-            args.cache_dir if args.cache_dir is not None else _default_cache_dir()
-        )
-        return _follow_sweep(spec, ResultStore(cache_dir), args.follow_timeout)
+        return _follow_sweep(spec, ResultStore(_cache_dir(args)), args.follow_timeout)
     started = time.perf_counter()
     runner = _make_runner(args, parser)
     try:
@@ -359,7 +339,7 @@ def _follow_sweep(
 
 
 def _serve_main(argv: list[str]) -> int:
-    from repro.service import ServiceConfig
+    from repro.service import ReproService, ServiceConfig
     from repro.service.server import run_service
 
     parser = argparse.ArgumentParser(
@@ -473,14 +453,12 @@ def _serve_main(argv: list[str]) -> int:
         parser.error("--session-max-events must be >= 1")
     if args.hot_entries < 0 or args.hot_bytes < 0:
         parser.error("--hot-entries/--hot-bytes must be >= 0 (0 disables)")
-    _validate_claim_options(args, parser)
 
-    cache_dir = args.cache_dir if args.cache_dir is not None else _default_cache_dir()
     config = ServiceConfig(
         host=args.host,
         port=args.port,
         jobs=args.jobs,
-        cache_dir=None if args.no_cache else cache_dir,
+        cache_dir=None if args.no_cache else _cache_dir(args),
         refresh=args.refresh,
         max_pending=args.max_pending,
         timeout_s=args.timeout,
@@ -494,12 +472,16 @@ def _serve_main(argv: list[str]) -> int:
         hot_entries=args.hot_entries,
         hot_bytes=args.hot_bytes,
     )
+    try:
+        service = ReproService(config)
+    except ValueError as exc:
+        parser.error(f"--claim-dir: {exc}")
 
     def announce(service) -> None:
         auth = " (API key required)" if config.api_key else ""
         print(f"repro-paper serve: listening on {service.url}{auth}", flush=True)
 
-    return run_service(config, announce)
+    return run_service(service, announce)
 
 
 def _fleet_main(argv: list[str]) -> int:
@@ -552,9 +534,10 @@ def _fleet_main(argv: list[str]) -> int:
 
     from pathlib import Path
 
-    cache_dir = args.cache_dir if args.cache_dir is not None else _default_cache_dir()
     claim_dir = Path(
-        args.claim_dir if args.claim_dir is not None else Path(cache_dir) / "claims"
+        args.claim_dir
+        if args.claim_dir is not None
+        else Path(_cache_dir(args)) / "claims"
     )
     if not claim_dir.is_dir():
         print(

@@ -294,11 +294,6 @@ EXPERIMENTS: dict[str, Callable] = {
     "scaling32": scaling32,
 }
 
-#: Experiments with no sweep grid: plain configuration tables, rendered
-#: inline wherever they are requested.
-STATIC_EXPERIMENTS = frozenset({"table1", "table2"})
-
-
 def experiment_spec(name: str, fast: bool = False) -> SweepSpec | None:
     """The sweep grid behind a named experiment, or None for static tables."""
     if name not in EXPERIMENTS:

@@ -19,8 +19,9 @@ computed::
 Every point is bit-deterministic (all randomness is seeded through
 ``DeterministicRng``), so serial, parallel, and cached executions are
 interchangeable.  A :class:`ClaimedRunner` is a ``ParallelRunner`` that
-divides a grid with other workers sharing the cache.  See
-``docs/harness.md``.
+divides a grid with other workers sharing the cache, and
+:func:`open_runner` builds either one from the options the CLI and the
+service share.  See ``docs/harness.md``.
 """
 
 from repro.harness.claims import (
@@ -28,6 +29,7 @@ from repro.harness.claims import (
     ClaimBoard,
     ClaimedRunner,
     ClaimInfo,
+    open_runner,
 )
 from repro.harness.hot_tier import (
     DEFAULT_HOT_BYTES,
@@ -36,14 +38,13 @@ from repro.harness.hot_tier import (
 )
 from repro.harness.runner import (
     ParallelRunner,
-    PointOutcome,
     SweepError,
     SweepReport,
     SweepResult,
     resolve_jobs,
 )
 from repro.harness.runners import (
-    PointMetrics,
+    PointOutcome,
     execute_point,
     execute_point_instrumented,
     get_runner,
@@ -70,7 +71,6 @@ __all__ = [
     "HotTier",
     "MISS",
     "ParallelRunner",
-    "PointMetrics",
     "PointOutcome",
     "ResultStore",
     "SCHEMA_VERSION",
@@ -83,6 +83,7 @@ __all__ = [
     "execute_point",
     "execute_point_instrumented",
     "get_runner",
+    "open_runner",
     "register_runner",
     "resolve_jobs",
     "runner_kinds",

@@ -33,6 +33,8 @@ that claims each miss before computing it, and only while one of its
 their result lands in the shared store.  N workers pointed at one
 shared cache dir therefore divide a grid between them, each point
 computed exactly once (see the ``distributed-smoke`` CI lane).
+:func:`open_runner` builds the CLI's and the service's runner, claimed
+or not, with its store and trace-cache setting.
 
 Every claim transition is appended to ``events.log`` in the claims
 directory (one JSON object per line, ``O_APPEND`` writes), which is how
@@ -57,7 +59,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.harness.runner import ParallelRunner, PointOutcome, SweepError
+from repro.harness.hot_tier import HotTier
+from repro.harness.runner import ParallelRunner, SweepError
+from repro.harness.runners import PointOutcome
 from repro.harness.spec import SweepPoint
 from repro.harness.store import ResultStore
 
@@ -682,3 +686,49 @@ class ClaimedRunner(ParallelRunner):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ClaimedRunner(owner={self.claims.owner!r}, jobs={self.jobs})"
+
+
+def open_runner(
+    jobs: int | None = 1,
+    cache_dir: str | os.PathLike | None = None,
+    refresh: bool = False,
+    claim_dir: str | os.PathLike | None = None,
+    worker_id: str | None = None,
+    claim_ttl_s: float = DEFAULT_CLAIM_TTL_S,
+    hot_tier: HotTier | None = None,
+) -> ParallelRunner:
+    """The runner ``repro-paper`` and ``repro-paper serve`` compute through.
+
+    ``cache_dir`` holds the :class:`ResultStore` (fronted by
+    ``hot_tier`` when one is given) and, under ``trace/``, the
+    compiled-trace cache; None computes every point and turns the trace
+    cache off.  The trace-cache setting is process-wide, so the runner's
+    pool workers inherit it.  With a ``claim_dir`` the runner is a
+    :class:`ClaimedRunner` dividing grids with every other worker that
+    shares ``cache_dir``.
+
+    Raises ``ValueError``, having created nothing, for claims without a
+    cache to share their results or with ``refresh``.
+    """
+    if claim_dir is not None:
+        if cache_dir is None:
+            raise ValueError(
+                "claims need the result cache: claims divide the compute, "
+                "the cache shares the results"
+            )
+        if refresh:
+            raise ValueError(
+                "claims cannot be combined with refresh: every worker would "
+                "recompute every point"
+            )
+    store = None if cache_dir is None else ResultStore(cache_dir, hot_tier=hot_tier)
+    if claim_dir is None:
+        runner = ParallelRunner(jobs=jobs, store=store, refresh=refresh)
+    else:
+        board = ClaimBoard(claim_dir, owner=worker_id, ttl_s=claim_ttl_s)
+        runner = ClaimedRunner(board, jobs=jobs, store=store)
+    # Lazy import: the trace pipeline pulls numpy in.
+    from repro.trace.cache import configure_trace_cache
+
+    configure_trace_cache(cache_dir)
+    return runner

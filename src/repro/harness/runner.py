@@ -38,7 +38,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.harness.runners import PointMetrics, execute_point_instrumented
+from repro.harness.runners import PointOutcome, execute_point_instrumented
 from repro.harness.spec import SweepPoint, SweepSpec
 from repro.harness.store import MISS, ResultStore
 
@@ -49,7 +49,8 @@ class SweepError(RuntimeError):
 
 @dataclass(slots=True)
 class SweepReport:
-    """How a sweep was satisfied: fresh executions vs cache hits."""
+    """How points were satisfied — fresh executions vs cache hits — over
+    one sweep, or over a service's lifetime (its ``/statz`` counters)."""
 
     executed: int = 0
     cached: int = 0
@@ -120,22 +121,6 @@ class SweepResult:
             if all(point.get(name) == want for name, want in filters.items()):
                 return value
         raise KeyError(f"no sweep point matches {filters!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class PointOutcome:
-    """One submitted point: its value and how it was had."""
-
-    value: Any
-    #: Compute wall seconds — of this execution for fresh points, of the
-    #: original execution for cache hits (None on pre-timing entries).
-    elapsed_s: float | None
-    #: True when the value came from the :class:`ResultStore`.
-    cached: bool
-    #: Compiled-trace cache events this execution observed (always 0
-    #: for cache hits — a cached point never compiles anything).
-    trace_hits: int = 0
-    trace_misses: int = 0
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -222,16 +207,23 @@ class ParallelRunner:
         )
 
     # ------------------------------------------------------------------
-    def _store_quietly(
-        self, point: SweepPoint, value: Any, metrics: PointMetrics
-    ) -> None:
-        """Write a fresh point to the store, if any; a full or
-        read-only cache degrades to recomputes, never to a failed sweep."""
+    def _store_quietly(self, point: SweepPoint, outcome: PointOutcome) -> None:
+        """Write a fresh point to the store, if any, with its trace-cache
+        provenance as entry ``meta``; a full or read-only cache degrades
+        to recomputes, never to a failed sweep."""
         if self.store is None:
             return
+        meta = None
+        if outcome.trace_hits or outcome.trace_misses:
+            meta = {
+                "trace_cache": {
+                    "hits": outcome.trace_hits,
+                    "misses": outcome.trace_misses,
+                }
+            }
         try:
             self.store.store(
-                point, value, elapsed_s=metrics.elapsed_s, meta=metrics.trace_meta
+                point, outcome.value, elapsed_s=outcome.elapsed_s, meta=meta
             )
         except OSError:
             pass
@@ -321,7 +313,7 @@ class ParallelRunner:
 
         outer: Future[PointOutcome] = Future()
 
-        def _finish(fut: "Future[tuple[Any, PointMetrics]]") -> None:
+        def _finish(fut: "Future[PointOutcome]") -> None:
             if fut.cancelled():
                 # close()/_discard_pool cancel queued work; the outer
                 # future must still resolve or waiters hang.
@@ -344,17 +336,9 @@ class ParallelRunner:
                     SweepError(f"sweep point failed: {point!r} ({exc})")
                 )
                 return
-            value, metrics = fut.result()
-            self._store_quietly(point, value, metrics)
-            outer.set_result(
-                PointOutcome(
-                    value=value,
-                    elapsed_s=metrics.elapsed_s,
-                    cached=False,
-                    trace_hits=metrics.trace_hits,
-                    trace_misses=metrics.trace_misses,
-                )
-            )
+            outcome = fut.result()
+            self._store_quietly(point, outcome)
+            outer.set_result(outcome)
 
         # The store write runs in the caller's context too, so anything
         # tracing it sees the same parent as the point itself.

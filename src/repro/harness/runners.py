@@ -22,32 +22,22 @@ PointRunner = Callable[[dict[str, Any]], Any]
 
 
 @dataclass(frozen=True, slots=True)
-class PointMetrics:
-    """Measurements that ride alongside one point's result.
+class PointOutcome:
+    """One point's value and how it was had: the record a worker
+    returns, the runner stores, and sweep reports and the service's
+    ``/statz`` count."""
 
-    ``elapsed_s`` is the compute wall time; ``trace_hits`` /
-    ``trace_misses`` count the compiled-trace cache events the
-    computation observed (0/0 for kinds that never compile a trace, or
-    when no trace cache is configured).  Metrics travel back from worker
-    processes with the result and feed :class:`ResultStore` entry
-    metadata, sweep reports, and the service's ``/statz``.
-    """
-
-    elapsed_s: float
+    value: Any
+    #: Compute wall seconds — of this execution for fresh points, of the
+    #: original execution for cache hits (None on pre-timing entries).
+    elapsed_s: float | None
+    #: True when the value came from the :class:`ResultStore`.
+    cached: bool
+    #: Compiled-trace cache events this execution observed (always 0
+    #: for cache hits — a cached point never compiles anything).
     trace_hits: int = 0
     trace_misses: int = 0
 
-    @property
-    def trace_meta(self) -> dict[str, Any] | None:
-        """Entry-v3 ``meta`` payload recording trace-cache provenance."""
-        if not (self.trace_hits or self.trace_misses):
-            return None
-        return {
-            "trace_cache": {
-                "hits": self.trace_hits,
-                "misses": self.trace_misses,
-            }
-        }
 
 _RUNNERS: dict[str, PointRunner] = {}
 
@@ -83,11 +73,11 @@ def execute_point(kind: str, params: Mapping[str, Any]) -> Any:
 
 def execute_point_instrumented(
     kind: str, params: Mapping[str, Any]
-) -> tuple[Any, PointMetrics]:
-    """Execute one sweep cell, returning ``(result, metrics)``.
+) -> PointOutcome:
+    """Execute one sweep cell, returning its fresh :class:`PointOutcome`.
 
-    The metrics travel back from worker processes alongside the result
-    and are persisted in :class:`~repro.harness.store.ResultStore`
+    The outcome travels back from worker processes and is what the
+    runner persists in :class:`~repro.harness.store.ResultStore`
     entries, feeding longest-predicted-first submission and ``/statz``.
     """
     # Lazy import: the trace pipeline pulls numpy in, and the counter
@@ -96,11 +86,13 @@ def execute_point_instrumented(
 
     hits_before, misses_before = snapshot_counters()
     started = time.perf_counter()
-    result = execute_point(kind, params)
+    value = execute_point(kind, params)
     elapsed = time.perf_counter() - started
     hits_after, misses_after = snapshot_counters()
-    return result, PointMetrics(
+    return PointOutcome(
+        value=value,
         elapsed_s=elapsed,
+        cached=False,
         trace_hits=hits_after - hits_before,
         trace_misses=misses_after - misses_before,
     )

@@ -16,25 +16,17 @@ Races are drawn from a per-block deterministic RNG stream, so results
 are reproducible and independent of block iteration order.
 
 One per-block walk emits every message as int columns (kind code,
-sender, epoch ordinal); :meth:`ProtocolEmulator.compile` keeps them as
-columns and :meth:`ProtocolEmulator.messages_for` boxes them into
+sender); :meth:`ProtocolEmulator.compile` keeps them as columns and
+:meth:`ProtocolEmulator.messages_for` boxes them into
 :class:`~repro.common.types.Message` objects.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 
 from repro.common.rng import DeterministicRng
-from repro.common.stats import StatSet
-from repro.common.types import (
-    KIND_CODES,
-    KIND_TO_CODE,
-    MAX_REQUEST_CODE,
-    Message,
-    MessageKind,
-    NodeId,
-)
+from repro.common.types import KIND_CODES, KIND_TO_CODE, Message, MessageKind, NodeId
 from repro.protocol.directory import BlockDirectory
 from repro.protocol.epochs import BlockScript, ReadEpoch, WriteEpoch
 
@@ -51,20 +43,12 @@ class ProtocolEmulator:
 
     def __init__(self, rng: DeterministicRng) -> None:
         self._rng = rng
-        self.stats = StatSet()
 
-    def _walk(
-        self,
-        script: BlockScript,
-        kinds: list[int],
-        nodes: list[int],
-        epochs: list[int],
-    ) -> None:
+    def _walk(self, script: BlockScript, kinds: list[int], nodes: list[int]) -> None:
         """Append one block's message stream to the int columns.
 
         ``kinds`` receives :data:`~repro.common.types.KIND_TO_CODE`
-        codes, ``nodes`` the senders and ``epochs`` the ordinal of the
-        epoch each message belongs to.
+        codes and ``nodes`` the senders.
 
         Invalidation acknowledgements normally return in full-map order
         — the directory walks its sharer bitmap when sending
@@ -78,8 +62,8 @@ class ProtocolEmulator:
         read, write = directory.read, directory.write
         # Sharers that will acknowledge a future invalidation in racy order.
         racy_ack_members: set[NodeId] = set()
-        add_kind, add_node, add_epoch = kinds.append, nodes.append, epochs.append
-        for epoch_index, epoch in enumerate(script.epochs):
+        add_kind, add_node = kinds.append, nodes.append
+        for epoch in script.epochs:
             if isinstance(epoch, ReadEpoch):
                 arrival = epoch.readers
                 if epoch.racy and len(arrival) > 1:
@@ -91,11 +75,9 @@ class ProtocolEmulator:
                         continue
                     add_kind(_READ)
                     add_node(reader)
-                    add_epoch(epoch_index)
                     if transition.writeback_from is not None:
                         add_kind(_WRITEBACK)
                         add_node(transition.writeback_from)
-                        add_epoch(epoch_index)
                     if epoch.racy_acks:
                         racy_ack_members.add(reader)
             elif isinstance(epoch, WriteEpoch):
@@ -106,37 +88,24 @@ class ProtocolEmulator:
                 upgrade = transition.request is _UPGRADE_KIND
                 add_kind(_UPGRADE if upgrade else _WRITE)
                 add_node(epoch.writer)
-                add_epoch(epoch_index)
                 if transition.writeback_from is not None:
                     add_kind(_WRITEBACK)
                     add_node(transition.writeback_from)
-                    add_epoch(epoch_index)
                 if transition.invalidated:
                     acks = list(transition.invalidated)  # full-map order
                     if racy_ack_members & set(acks) and len(acks) > 1:
                         rng.shuffle(acks)
                     kinds.extend([_ACK] * len(acks))
                     nodes.extend(acks)
-                    epochs.extend([epoch_index] * len(acks))
                 racy_ack_members.clear()
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown epoch type: {epoch!r}")
-
-    def _count(self, per_code: Sequence[int]) -> None:
-        """Bump ``msg_<kind>`` and ``requests`` by per-code message counts."""
-        for code, count in enumerate(per_code):
-            if count:
-                self.stats.bump(f"msg_{KIND_CODES[code].value}", count)
-        requests = sum(per_code[: MAX_REQUEST_CODE + 1])
-        if requests:
-            self.stats.bump("requests", requests)
 
     def messages_for(self, script: BlockScript) -> list[Message]:
         """The home-directory message stream for one block."""
         kinds: list[int] = []
         nodes: list[int] = []
-        self._walk(script, kinds, nodes, [])
-        self._count([kinds.count(code) for code in range(len(KIND_CODES))])
+        self._walk(script, kinds, nodes)
         block = script.block
         return [
             Message(kind=KIND_CODES[code], node=node, block=block)
@@ -158,30 +127,20 @@ class ProtocolEmulator:
         The result is bit-equivalent to :meth:`run`: decoding the trace
         (:meth:`~repro.trace.compiled.CompiledTrace.to_messages`) yields
         exactly the messages ``run`` would, in the same block-major
-        order, and the same ``stats`` are counted.  Races draw from the
-        same per-block RNG streams, so compiling and replaying are
-        interchangeable.
+        order.  Races draw from the same per-block RNG streams, so
+        compiling and replaying are interchangeable.
         """
         # Imported here so the protocol layer stays importable without
         # pulling numpy in (repro.trace requires it).
-        import numpy as np
-
         from repro.trace.compiled import CompiledTrace
 
         kinds: list[int] = []
         nodes: list[int] = []
         blocks: list[int] = []
-        epochs: list[int] = []
         for script in scripts:
             before = len(kinds)
-            self._walk(script, kinds, nodes, epochs)
+            self._walk(script, kinds, nodes)
             blocks.extend([script.block] * (len(kinds) - before))
-        trace = CompiledTrace.from_columns(
-            kinds=kinds,
-            nodes=nodes,
-            blocks=blocks,
-            epochs=epochs,
-            num_nodes=num_nodes,
+        return CompiledTrace.from_columns(
+            kinds=kinds, nodes=nodes, blocks=blocks, num_nodes=num_nodes
         )
-        self._count(np.bincount(trace.kinds, minlength=len(KIND_CODES)).tolist())
-        return trace

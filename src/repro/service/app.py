@@ -224,7 +224,7 @@ class ServiceApp:
             ),
         }
         # Compiled traces live in the store's directory (see
-        # ReproService.__init__).
+        # repro.harness.open_runner).
         from repro.trace.cache import TRACE_KIND
 
         snapshot["trace_cache"].update(
@@ -262,12 +262,7 @@ class ServiceApp:
         tables (table1/table2) have no grid and return inline.
         ``?fast=1`` selects the quarter-size grids.
         """
-        from repro.eval.experiments import (
-            EXPERIMENTS,
-            STATIC_EXPERIMENTS,
-            experiment_spec,
-            run_experiment,
-        )
+        from repro.eval.experiments import EXPERIMENTS, experiment_spec, run_experiment
 
         name = request.path.removeprefix("/v1/experiments/")
         if name not in EXPERIMENTS:
@@ -276,7 +271,8 @@ class ServiceApp:
                 f"no such experiment: {name!r} (known: {', '.join(EXPERIMENTS)})",
             )
         fast = request.query.get("fast") in ("1", "true", "yes")
-        if name in STATIC_EXPERIMENTS:
+        spec = experiment_spec(name, fast=fast)
+        if spec is None:
             return Response(
                 payload={
                     "experiment": name,
@@ -284,8 +280,6 @@ class ServiceApp:
                     "result": run_experiment(name, fast=fast),
                 }
             )
-        spec = experiment_spec(name, fast=fast)
-        assert spec is not None  # non-static experiments all have grids
         points = spec.points()
         try:
             job = self.jobs.submit(spec.kind, points, experiment=name)

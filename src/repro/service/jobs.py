@@ -30,7 +30,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.harness import ParallelRunner, PointOutcome, SweepError, SweepPoint
+from repro.harness import (
+    ParallelRunner,
+    PointOutcome,
+    SweepError,
+    SweepPoint,
+    SweepReport,
+)
 
 
 class PoolSaturated(Exception):
@@ -57,69 +63,63 @@ class ServiceStats:
     #: never make uptime jump or go negative.
     started_at: float = field(default_factory=time.time)
     started_monotonic: float = field(default_factory=time.monotonic)
-    hits: int = 0
-    computes: int = 0
+    #: Points served from the cache (``cached``: the ``hits``) and
+    #: computed here (``executed``: the ``computes``), with their
+    #: seconds and trace-cache events, counted as a sweep counts them.
+    report: SweepReport = field(default_factory=SweepReport)
     coalesced: int = 0
     rejected: int = 0
     timeouts: int = 0
     errors: int = 0
-    compute_seconds: float = 0.0
-    saved_seconds: float = 0.0
-    #: Compiled-trace cache events observed by computed points (a point
-    #: served from the result cache never compiles a trace at all).
-    trace_hits: int = 0
-    trace_misses: int = 0
     hit_latencies_ms: deque = field(default_factory=lambda: deque(maxlen=1024))
     compute_latencies_ms: deque = field(default_factory=lambda: deque(maxlen=1024))
 
-    def note_hit(self, outcome: PointOutcome, wall_s: float) -> None:
-        self.hits += 1
-        self.hit_latencies_ms.append(1000.0 * wall_s)
-        if outcome.elapsed_s:
-            self.saved_seconds += outcome.elapsed_s
+    def note(self, outcome: PointOutcome, wall_s: float) -> None:
+        """Count one point served from the cache or computed here.
 
-    def note_computed(self, outcome: PointOutcome, wall_s: float) -> None:
-        self.computes += 1
-        self.compute_latencies_ms.append(1000.0 * wall_s)
-        if outcome.elapsed_s:
-            self.compute_seconds += outcome.elapsed_s
-        self.trace_hits += outcome.trace_hits
-        self.trace_misses += outcome.trace_misses
+        A claimed replica resolves a point a *peer* replica computed as
+        a cached outcome (it waited on the claim and read the store):
+        that is a hit, not a local compute, or /statz would
+        double-count the fleet's work.
+        """
+        self.report.note(outcome)
+        window = self.hit_latencies_ms if outcome.cached else self.compute_latencies_ms
+        window.append(1000.0 * wall_s)
 
     @property
     def point_requests(self) -> int:
-        return self.hits + self.computes + self.coalesced
+        return self.report.total + self.coalesced
 
     @property
     def uptime_s(self) -> float:
         return round(time.monotonic() - self.started_monotonic, 3)
 
     def snapshot(self, in_flight: int, queue_bound: int) -> dict[str, Any]:
+        report = self.report
         total = self.point_requests
+        traces = report.trace_hits + report.trace_misses
         hit = sorted(self.hit_latencies_ms)
         compute = sorted(self.compute_latencies_ms)
         return {
             "started_at": self.started_at,
             "uptime_s": self.uptime_s,
             "point_requests": total,
-            "hits": self.hits,
-            "computes": self.computes,
+            "hits": report.cached,
+            "computes": report.executed,
             "coalesced": self.coalesced,
             "rejected": self.rejected,
             "timeouts": self.timeouts,
             "errors": self.errors,
-            "hit_rate": round(self.hits / total, 4) if total else None,
+            "hit_rate": round(report.cached / total, 4) if total else None,
             "in_flight": in_flight,
             "queue_depth_bound": queue_bound,
-            "compute_seconds": round(self.compute_seconds, 3),
-            "cache_saved_seconds": round(self.saved_seconds, 3),
+            "compute_seconds": round(report.executed_seconds, 3),
+            "cache_saved_seconds": round(report.saved_seconds, 3),
             "trace_cache": {
-                "hits": self.trace_hits,
-                "misses": self.trace_misses,
+                "hits": report.trace_hits,
+                "misses": report.trace_misses,
                 "hit_rate": (
-                    round(self.trace_hits / (self.trace_hits + self.trace_misses), 4)
-                    if (self.trace_hits + self.trace_misses)
-                    else None
+                    round(report.trace_hits / traces, 4) if traces else None
                 ),
             },
             "latency_ms": {
@@ -181,7 +181,7 @@ class ComputePool:
         if task is None:
             cached = self.runner.cached_outcome(point)
             if cached is not None:
-                self.stats.note_hit(cached, time.perf_counter() - started)
+                self.stats.note(cached, time.perf_counter() - started)
                 return cached
             if not wait and len(self._tasks) >= self.max_pending:
                 self.stats.rejected += 1
@@ -211,15 +211,7 @@ class ComputePool:
         try:
             future = self.runner.submit_miss(point)
             outcome = await asyncio.wrap_future(future)
-            wall = time.perf_counter() - started
-            if outcome.cached:
-                # A claimed replica resolves points computed by a *peer*
-                # replica as cached outcomes (it waited on the claim and
-                # read the store) — that is a hit, not a local compute,
-                # or /statz would double-count the fleet's work.
-                self.stats.note_hit(outcome, wall)
-            else:
-                self.stats.note_computed(outcome, wall)
+            self.stats.note(outcome, time.perf_counter() - started)
             return outcome
         except SweepError:
             self.stats.errors += 1

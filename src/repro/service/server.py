@@ -15,11 +15,8 @@ from repro.harness import (
     DEFAULT_CLAIM_TTL_S,
     DEFAULT_HOT_BYTES,
     DEFAULT_HOT_ENTRIES,
-    ClaimBoard,
-    ClaimedRunner,
     HotTier,
-    ParallelRunner,
-    ResultStore,
+    open_runner,
 )
 from repro.service.app import ServiceApp
 from repro.service.jobs import ComputePool, JobTable
@@ -81,7 +78,12 @@ class ServiceConfig:
 
 
 class ReproService:
-    """Owns the runner, pool, job table, app, and listening socket."""
+    """Owns the runner, pool, job table, app, and listening socket.
+
+    Raises ``ValueError``, having created nothing, for a claim dir
+    without a cache dir or with refresh (see
+    :func:`~repro.harness.open_runner`).
+    """
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
@@ -98,40 +100,15 @@ class ReproService:
             if self.config.hot_entries > 0 and self.config.hot_bytes > 0
             else None
         )
-        store = (
-            ResultStore(self.config.cache_dir, hot_tier=hot_tier)
-            if self.config.cache_dir is not None
-            else None
+        self.runner = open_runner(
+            jobs=self.config.jobs,
+            cache_dir=self.config.cache_dir,
+            refresh=self.config.refresh,
+            claim_dir=self.config.claim_dir,
+            worker_id=self.config.worker_id,
+            claim_ttl_s=self.config.claim_ttl_s,
+            hot_tier=hot_tier,
         )
-        if self.config.claim_dir is None:
-            self.runner = ParallelRunner(
-                jobs=self.config.jobs, store=store, refresh=self.config.refresh
-            )
-        elif self.config.refresh:
-            raise ValueError(
-                "claims cannot be combined with refresh: every replica would "
-                "recompute every point, defeating exactly-once division"
-            )
-        else:
-            # Replica mode: claim points before computing them, so
-            # replicas sharing this cache dir divide grids between
-            # them instead of duplicating work (raises on store=None —
-            # claims without a shared store cannot share results).
-            self.runner = ClaimedRunner(
-                ClaimBoard(
-                    self.config.claim_dir,
-                    owner=self.config.worker_id,
-                    ttl_s=self.config.claim_ttl_s,
-                ),
-                jobs=self.config.jobs,
-                store=store,
-            )
-        # Compiled traces share the point cache's directory, and no
-        # store means no trace cache, as with the CLI; the runner's pool
-        # workers (thread or forked processes) inherit this setting.
-        from repro.trace import configure_trace_cache
-
-        configure_trace_cache(store.root if store is not None else None)
         self.pool = ComputePool(
             self.runner,
             max_pending=self.config.max_pending,
@@ -267,8 +244,7 @@ class ReproService:
                 pass
 
 
-async def _serve(config: ServiceConfig, announce) -> None:
-    service = ReproService(config)
+async def _serve(service: ReproService, announce) -> None:
     await service.start()
     announce(service)
     try:
@@ -277,10 +253,10 @@ async def _serve(config: ServiceConfig, announce) -> None:
         await service.stop()
 
 
-def run_service(config: ServiceConfig, announce=lambda service: None) -> int:
+def run_service(service: ReproService, announce=lambda service: None) -> int:
     """Blocking entry point used by ``repro-paper serve``; 0 on clean exit."""
     try:
-        asyncio.run(_serve(config, announce))
+        asyncio.run(_serve(service, announce))
     except KeyboardInterrupt:
         pass
     return 0

@@ -140,7 +140,9 @@ def parse_ndjson_events(body: bytes, num_procs: int) -> list[Message]:
             continue
         try:
             obj = json.loads(line)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad UTF-8, bad syntax and an int past
+            # the interpreter's digit limit; RecursionError, deep nesting.
             raise ValueError(f"line {lineno}: invalid JSON: {exc}") from None
         try:
             messages.append(parse_event(obj, num_procs))

@@ -11,9 +11,9 @@ miss, and stores the columnar payload with its content hash in the
 entry metadata (entry format v3).
 
 The cache is configured process-wide — :func:`configure_trace_cache` is
-called by the CLI and the HTTP service when they build a cached runner —
-and is inherited by forked sweep workers; until something configures
-it, the cache is off.  Hit/miss counters are process-local and are
+called by :func:`repro.harness.open_runner`, which builds the CLI's and
+the HTTP service's runner — and is inherited by forked sweep workers;
+until something configures it, the cache is off.  Hit/miss counters are process-local and are
 harvested around each sweep-point execution
 (:func:`repro.harness.runners.execute_point_instrumented`), which is
 how per-point trace-cache provenance reaches ``ResultStore`` entries,
@@ -39,8 +39,8 @@ TRACE_KIND = "trace"
 #: Bumped when the trace payload layout changes; keys every trace entry
 #: so old payloads simply miss instead of mis-decoding.  Schema 2 stores
 #: each column as base64 of its raw little-endian bytes (schema 1 held
-#: JSON int lists).
-TRACE_SCHEMA = 2
+#: JSON int lists); schema 3 drops schema 2's ``epochs`` column.
+TRACE_SCHEMA = 3
 
 _configured: str | None = None
 _lock = threading.Lock()

@@ -2,13 +2,11 @@
 
 A :class:`CompiledTrace` holds the *entire* message stream a workload
 presents to its home directories — every block's sequence, concatenated
-block-major — as four parallel numpy columns:
+block-major — as three parallel numpy columns:
 
 * ``kinds``  — message-kind codes (:data:`KIND_CODES` order),
 * ``nodes``  — sending processor ids,
-* ``blocks`` — block ids (each block's messages are contiguous),
-* ``epochs`` — the ordinal of the originating epoch within its block
-  script (diagnostics and future timing work; the predictors ignore it).
+* ``blocks`` — block ids (each block's messages are contiguous).
 
 Compiling the trace once decouples trace *generation* (the Python-loop
 protocol emulation) from trace *consumption*: the vectorized predictor
@@ -31,7 +29,7 @@ from repro.common.canonical import canonical_hash
 from repro.common.types import KIND_CODES, MAX_REQUEST_CODE, Message
 
 #: Payload column -> the little-endian dtype of its raw bytes.
-_PAYLOAD_DTYPES = {"kinds": "<u1", "nodes": "<i4", "blocks": "<i8", "epochs": "<i4"}
+_PAYLOAD_DTYPES = {"kinds": "<u1", "nodes": "<i4", "blocks": "<i8"}
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -41,7 +39,6 @@ class CompiledTrace:
     kinds: np.ndarray  # uint8 codes into KIND_CODES
     nodes: np.ndarray  # int32 sender ids
     blocks: np.ndarray  # int64 block ids, block-major
-    epochs: np.ndarray  # int32 epoch ordinal within the block script
     num_nodes: int
     #: Cached segment boundaries; computed lazily by ``block_starts``.
     _starts: list = field(default_factory=list, repr=False)
@@ -55,14 +52,12 @@ class CompiledTrace:
         kinds: Any,
         nodes: Any,
         blocks: Any,
-        epochs: Any,
         num_nodes: int,
     ) -> "CompiledTrace":
         return cls(
             kinds=np.asarray(kinds, dtype=np.uint8),
             nodes=np.asarray(nodes, dtype=np.int32),
             blocks=np.asarray(blocks, dtype=np.int64),
-            epochs=np.asarray(epochs, dtype=np.int32),
             num_nodes=int(num_nodes),
         )
 
@@ -109,7 +104,7 @@ class CompiledTrace:
 
         ``num_nodes`` plus each column as base64 of its raw
         little-endian bytes (``kinds`` ``<u1``, ``nodes`` ``<i4``,
-        ``blocks`` ``<i8``, ``epochs`` ``<i4``).
+        ``blocks`` ``<i8``).
         """
         payload: dict[str, Any] = {"num_nodes": self.num_nodes}
         for name, dtype in _PAYLOAD_DTYPES.items():

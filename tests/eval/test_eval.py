@@ -289,3 +289,4 @@ class TestClaimOptionConflicts:
             cli_main(argv)
         assert exited.value.code == 2
         assert "--claim-dir" in capsys.readouterr().err
+        assert not (tmp_path / "cache" / "claims").exists()

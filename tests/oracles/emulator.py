@@ -1,9 +1,8 @@
 """Message-at-a-time protocol emulation (reference oracle).
 
 The emulator as it was before it wrote int columns: every message is a
-:class:`~repro.common.types.Message` paired with its epoch ordinal, and
-every message bumps its ``msg_<kind>`` counter as it is emitted.
-:class:`~repro.protocol.emulator.ProtocolEmulator`'s columns, stats and
+:class:`~repro.common.types.Message` paired with its epoch ordinal.
+:class:`~repro.protocol.emulator.ProtocolEmulator`'s columns and
 ``run()`` stream are tested against this class
 (``tests/protocol/test_emulator_oracle.py``).
 """
@@ -13,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from repro.common.rng import DeterministicRng
-from repro.common.stats import StatSet
 from repro.common.types import KIND_TO_CODE, Message, MessageKind, NodeId
 from repro.protocol.directory import BlockDirectory
 from repro.protocol.epochs import BlockScript, ReadEpoch, WriteEpoch
@@ -25,7 +23,6 @@ class ReferenceEmulator:
 
     def __init__(self, rng: DeterministicRng) -> None:
         self._rng = rng
-        self.stats = StatSet()
 
     def messages_for(self, script: BlockScript) -> list[Message]:
         """The home-directory message stream for one block."""
@@ -54,9 +51,6 @@ class ReferenceEmulator:
             out.append(
                 (epoch_index, Message(kind=kind, node=node, block=script.block))
             )
-            self.stats.bump(f"msg_{kind.value}")
-            if kind.is_request:
-                self.stats.bump("requests")
 
         for epoch_index, epoch in enumerate(script.epochs):
             if isinstance(epoch, ReadEpoch):
@@ -112,17 +106,11 @@ class ReferenceEmulator:
         kinds: list[int] = []
         nodes: list[int] = []
         blocks: list[int] = []
-        epochs: list[int] = []
         for script in scripts:
-            for epoch_index, message in self.script_events(script):
+            for _epoch, message in self.script_events(script):
                 kinds.append(KIND_TO_CODE[message.kind])
                 nodes.append(message.node)
                 blocks.append(message.block)
-                epochs.append(epoch_index)
         return CompiledTrace.from_columns(
-            kinds=kinds,
-            nodes=nodes,
-            blocks=blocks,
-            epochs=epochs,
-            num_nodes=num_nodes,
+            kinds=kinds, nodes=nodes, blocks=blocks, num_nodes=num_nodes
         )

@@ -58,7 +58,7 @@ def parse_ndjson_events_reference(body: bytes, num_procs: int) -> list[Message]:
             continue
         try:
             obj = json.loads(line)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"line {lineno}: invalid JSON: {exc}") from None
         try:
             messages.append(parse_event_reference(obj, num_procs))

@@ -3,10 +3,9 @@
 :class:`~repro.protocol.emulator.ProtocolEmulator` walks each block once
 and appends int codes to columns; the
 :class:`~tests.oracles.emulator.ReferenceEmulator` it replaced builds one
-``Message`` and bumps one counter per message.  For any block scripts
-and race seed the two must agree on ``compile``'s four columns (values
-and dtypes), on the ``msg_<kind>``/``requests`` counters, and on the
-``(block, messages)`` stream of ``run()``.
+``Message`` per message.  For any block scripts and race seed the two
+must agree on ``compile``'s three columns (values and dtypes) and on
+the ``(block, messages)`` stream of ``run()``.
 """
 
 import pytest
@@ -25,7 +24,7 @@ from tests.strategies.protocol import SCRIPT_NODES, block_scripts
 
 pytestmark = pytest.mark.property
 
-COLUMNS = ("kinds", "nodes", "blocks", "epochs")
+COLUMNS = ("kinds", "nodes", "blocks")
 
 
 @DETERMINISM_SETTINGS
@@ -40,9 +39,7 @@ def test_compile_and_run_equal_the_reference(scripts, race_seed):
             getattr(trace, column), getattr(expected, column), err_msg=column
         )
         assert getattr(trace, column).dtype == getattr(expected, column).dtype
-    assert emulator.stats.as_dict() == reference.stats.as_dict()
 
     replaying = ProtocolEmulator(DeterministicRng(race_seed))
     replaying_reference = ReferenceEmulator(DeterministicRng(race_seed))
     assert list(replaying.run(scripts)) == list(replaying_reference.run(scripts))
-    assert replaying.stats.as_dict() == replaying_reference.stats.as_dict()

@@ -48,8 +48,9 @@ class TestCacheFastPath:
             # the compute pool never came into existence, let alone ran:
             assert CALLS["default"] == 0
             assert not runner.pool_started
-            assert pool.stats.hits == 1 and pool.stats.computes == 0
-            assert pool.stats.saved_seconds == 1.5
+            assert pool.stats.report.cached == 1
+            assert pool.stats.report.executed == 0
+            assert pool.stats.report.saved_seconds == 1.5
             runner.close()
 
         asyncio.run(scenario())
@@ -101,7 +102,7 @@ class TestCoalescing:
             assert [o.value["echo"] for o in outcomes] == [1] * 5
             assert CALLS["default"] == 1  # exactly one computation
             assert pool.stats.coalesced == 4
-            assert pool.stats.computes == 1
+            assert pool.stats.report.executed == 1
             runner.close()
 
         asyncio.run(scenario())
@@ -391,10 +392,10 @@ class TestClaimedReplicas:
                 # /statz accounting matches the claim split: a point the
                 # peer computed counts as a (waited-on) hit, not a local
                 # compute — each replica's computes equal its own claims.
-                assert pool_one.stats.computes == stats_one["computed"]
-                assert pool_two.stats.computes == stats_two["computed"]
-                assert pool_one.stats.computes + pool_one.stats.hits == 6
-                assert pool_two.stats.computes + pool_two.stats.hits == 6
+                for pool, stats in ((pool_one, stats_one), (pool_two, stats_two)):
+                    assert pool.stats.report.executed == stats["computed"]
+                    assert pool.stats.report.total == 6
+                    assert len(pool.stats.hit_latencies_ms) == pool.stats.report.cached
             finally:
                 first.close()
                 second.close()

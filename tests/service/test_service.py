@@ -653,10 +653,11 @@ class TestClaimedService:
     def test_claims_need_the_cache_unrefreshed(self, tmp_path, conflict):
         """Claims divide a grid through the shared cache: every replica
         recomputing every point (refresh), or a replica with no cache
-        to share, defeats them."""
+        to share, defeats them.  A refused replica creates nothing."""
         config = service_config(tmp_path, claim_dir=str(tmp_path / "claims"), **conflict)
         with pytest.raises(ValueError):
             ReproService(config)
+        assert not (tmp_path / "claims").exists()
 
     def test_statz_claims_null_without_claim_dir(self, tmp_path):
         async def scenario(service):

@@ -42,6 +42,11 @@ from tests.oracles import run_predictors_reference
 from tests.service.test_service import http_request, read_response, run_with_service
 
 
+#: An event line nested 3,000 objects deep (about 30 KB), past the
+#: interpreter's default recursion limit of 1,000.
+DEEP_LINE = b'{"kind": ' * 3000 + b'"read"' + b"}" * 3000
+
+
 class FakeClock:
     def __init__(self, now=1000.0):
         self.now = now
@@ -91,9 +96,14 @@ class TestEventCodec:
             parse_event(event, num_procs=4)
 
     def test_ndjson_errors_name_the_line(self):
-        body = b'{"kind": "read", "node": 0, "block": 0}\n{"kind": "nope"}\n'
-        with pytest.raises(ValueError, match="line 2"):
-            parse_ndjson_events(body, num_procs=4)
+        first = b'{"kind": "read", "node": 0, "block": 0}\n'
+        for second in (
+            b'{"kind": "nope"}',
+            DEEP_LINE,
+            b'{"kind": "read", "node": 0, "block": ' + b"7" * 5000 + b"}",
+        ):
+            with pytest.raises(ValueError, match="^line 2: "):
+                parse_ndjson_events(first + second + b"\n", num_procs=4)
 
     def test_ndjson_skips_blank_lines(self):
         body = b'\n{"kind": "read", "node": 1, "block": 2}\n\n'
@@ -374,25 +384,27 @@ class TestSessionsOverHttp:
 
     def test_non_string_kind_is_a_400_naming_the_line(self, tmp_path):
         """A list or dict ``kind`` is a bad event, answered 400 naming
-        its line, not an unhashable-key crash answered 500; the batch
-        is not applied."""
+        its line, not an unhashable-key crash answered 500, and so is a
+        line nested past the recursion limit; the batch is not applied."""
 
         async def scenario(service):
             status, opened = await http_request(
                 service.port, "/v1/sessions", method="POST", body={"num_procs": 2}
             )
             assert status == 201
-            for kind in (b'["read"]', b'{"read": 1}'):
-                payload = (
-                    b'{"kind": "read", "node": 0, "block": 0}\n'
-                    b'{"kind": ' + kind + b', "node": 1, "block": 2}\n'
-                )
+            for second in (
+                b'{"kind": ["read"], "node": 1, "block": 2}',
+                b'{"kind": {"read": 1}, "node": 1, "block": 2}',
+                DEEP_LINE,
+            ):
+                payload = b'{"kind": "read", "node": 0, "block": 0}\n' + second + b"\n"
                 status, body = await post_ndjson(
                     service.port, opened["events_url"], payload
                 )
                 assert status == 400, body
                 assert "line 2" in body["error"]
-                assert "bad event kind" in body["error"]
+                if second is not DEEP_LINE:
+                    assert "bad event kind" in body["error"]
             status, body = await http_request(
                 service.port, f"/v1/sessions/{opened['session']}"
             )

@@ -29,7 +29,7 @@ def cache_dir(tmp_path):
     return directory
 
 
-COLUMNS = ("kinds", "nodes", "blocks", "epochs")
+COLUMNS = ("kinds", "nodes", "blocks")
 
 
 def _drop_column(payload):
@@ -86,7 +86,7 @@ class TestCacheBehavior:
             lambda: compile_app_trace("em3d", **kwargs)
         )
         assert delta_second == (1, 0)
-        for column in ("kinds", "nodes", "blocks", "epochs"):
+        for column in COLUMNS:
             np.testing.assert_array_equal(
                 getattr(first, column), getattr(second, column)
             )
@@ -177,7 +177,7 @@ class TestWriteFaults:
             )
             assert delta == (0, 1)
             assert trace.content_hash() == uncached.content_hash()
-            for column in ("kinds", "nodes", "blocks", "epochs"):
+            for column in COLUMNS:
                 np.testing.assert_array_equal(
                     getattr(trace, column), getattr(uncached, column)
                 )
@@ -217,13 +217,11 @@ class TestAccuracyPipelineIntegration:
         from repro.harness import execute_point_instrumented
 
         params = {"app": "em3d", "num_procs": 8, "iterations": 3}
-        _result, metrics = execute_point_instrumented("accuracy", params)
-        assert (metrics.trace_hits, metrics.trace_misses) == (0, 1)
-        assert metrics.trace_meta == {
-            "trace_cache": {"hits": 0, "misses": 1}
-        }
-        _result, metrics = execute_point_instrumented("accuracy", params)
-        assert (metrics.trace_hits, metrics.trace_misses) == (1, 0)
+        outcome = execute_point_instrumented("accuracy", params)
+        assert not outcome.cached and outcome.elapsed_s > 0
+        assert (outcome.trace_hits, outcome.trace_misses) == (0, 1)
+        outcome = execute_point_instrumented("accuracy", params)
+        assert (outcome.trace_hits, outcome.trace_misses) == (1, 0)
 
     def test_runner_stores_trace_provenance(self, cache_dir, tmp_path):
         from repro.harness import ParallelRunner, ResultStore, SweepSpec

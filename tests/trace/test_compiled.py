@@ -13,6 +13,8 @@ from repro.protocol.epochs import BlockScript, ReadEpoch, WriteEpoch
 from repro.trace import KIND_CODES, KIND_TO_CODE, CompiledTrace
 from tests.oracles import ReferenceEmulator
 
+COLUMNS = ("kinds", "nodes", "blocks")
+
 
 def _compile(scripts, num_nodes=8, race_seed=7):
     return ProtocolEmulator(DeterministicRng(race_seed)).compile(
@@ -57,31 +59,20 @@ class TestCompile:
         expected = ReferenceEmulator(DeterministicRng(7)).compile(
             scripts, num_nodes=8
         )
-        for column in ("kinds", "nodes", "blocks", "epochs"):
+        for column in COLUMNS:
             np.testing.assert_array_equal(
                 getattr(trace, column), getattr(expected, column)
             )
 
-    def test_emulator_stats_match_reference(self):
-        """compile() counts the same per-kind messages as the reference."""
-        workload = make_app("ocean", num_procs=8, iterations=3).build()
-        compiling = ProtocolEmulator(DeterministicRng(7))
-        compiling.compile(workload.block_scripts(), num_nodes=8)
-        reference = ReferenceEmulator(DeterministicRng(7))
-        reference.compile(workload.block_scripts(), num_nodes=8)
-        assert compiling.stats.as_dict() == reference.stats.as_dict()
-
-    def test_block_starts_and_epochs(self):
+    def test_block_starts(self):
         scripts = [
             BlockScript(block=1, epochs=[WriteEpoch(0), ReadEpoch((1, 2))]),
             BlockScript(block=2, epochs=[WriteEpoch(3)]),
         ]
         trace = _compile(scripts)
-        # block 1: WRITE(0) in epoch 0, then READ(1) + WRITEBACK(0) (the
-        # read downgrades the writable copy) and READ(2) in epoch 1;
-        # block 2: WRITE(3) in epoch 0.
+        # block 1: WRITE(0), then READ(1) + WRITEBACK(0) (the read
+        # downgrades the writable copy) and READ(2); block 2: WRITE(3).
         assert trace.blocks.tolist() == [1, 1, 1, 1, 2]
-        assert trace.epochs.tolist() == [0, 1, 1, 1, 0]
         assert trace.block_starts.tolist() == [0, 4]
         assert trace.block_count() == 2
 
@@ -98,7 +89,7 @@ class TestSerialization:
         trace = _compile(workload.block_scripts())
         loaded = CompiledTrace.from_payload(trace.as_payload())
         assert loaded.num_nodes == trace.num_nodes
-        for column in ("kinds", "nodes", "blocks", "epochs"):
+        for column in COLUMNS:
             np.testing.assert_array_equal(
                 getattr(loaded, column), getattr(trace, column)
             )
@@ -109,12 +100,8 @@ class TestSerialization:
         trace = _compile(scripts)
         payload = trace.as_payload()
         assert payload["num_nodes"] == 8
-        for column, dtype in (
-            ("kinds", "<u1"),
-            ("nodes", "<i4"),
-            ("blocks", "<i8"),
-            ("epochs", "<i4"),
-        ):
+        assert set(payload) == {"num_nodes", *COLUMNS}
+        for column, dtype in (("kinds", "<u1"), ("nodes", "<i4"), ("blocks", "<i8")):
             raw = base64.b64decode(payload[column])
             np.testing.assert_array_equal(
                 np.frombuffer(raw, dtype=dtype), getattr(trace, column)
@@ -127,11 +114,8 @@ class TestSerialization:
     def test_content_hash_sees_every_column(self):
         scripts = [BlockScript(block=1, epochs=[WriteEpoch(0), WriteEpoch(1)])]
         base = _compile(scripts)
-        for column in ("kinds", "nodes", "blocks", "epochs"):
-            mutated = {
-                name: getattr(base, name)
-                for name in ("kinds", "nodes", "blocks", "epochs")
-            }
+        for column in COLUMNS:
+            mutated = {name: getattr(base, name) for name in COLUMNS}
             changed = mutated[column].copy()
             changed[0] += 1
             mutated[column] = changed
