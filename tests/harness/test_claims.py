@@ -22,12 +22,15 @@ from repro.harness import (
     MISS,
     ClaimBoard,
     ClaimedRunner,
+    HotTier,
     ParallelRunner,
     ResultStore,
     SweepError,
     SweepPoint,
     SweepSpec,
+    open_runner,
 )
+from repro.trace.cache import configure_trace_cache, configured_trace_dir
 
 ECHO_SPEC = SweepSpec(kind="selftest", axes={"payload": [1, 2, 3, 4, 5]})
 
@@ -593,3 +596,45 @@ class TestClaimedRunner:
             result = runner.run(points)
             assert result.report.executed == 1
             assert result.values[0] == result.values[1]
+
+
+class TestOpenRunner:
+    """``open_runner`` is the one place the CLI and the service turn
+    their options into a store, a runner and a trace-cache setting."""
+
+    def test_cache_dir_sets_store_and_trace_cache(self, tmp_path):
+        tier = HotTier(max_entries=4)
+        with open_runner(jobs=1, cache_dir=tmp_path / "cache", hot_tier=tier) as runner:
+            assert type(runner) is ParallelRunner
+            assert runner.store.root == tmp_path / "cache"
+            assert runner.store.hot_tier is tier
+            assert configured_trace_dir() == str(tmp_path / "cache")
+        with open_runner(jobs=1) as runner:
+            assert runner.store is None
+            assert configured_trace_dir() is None
+
+    def test_claim_dir_builds_a_claimed_runner(self, tmp_path):
+        with open_runner(
+            jobs=1,
+            cache_dir=tmp_path / "cache",
+            claim_dir=tmp_path / "cache" / "claims",
+            worker_id="w1",
+            claim_ttl_s=30.0,
+        ) as runner:
+            assert isinstance(runner, ClaimedRunner)
+            assert runner.claims.owner == "w1" and runner.claims.ttl_s == 30.0
+            assert runner.run(ECHO_SPEC).report.executed == 5
+            assert runner.claims.stats()["computed"] == 5
+
+    @pytest.mark.parametrize(
+        "conflict, message",
+        [({"cache_dir": None}, "need the result cache"), ({"refresh": True}, "refresh")],
+        ids=["no-cache", "refresh"],
+    )
+    def test_claim_conflicts_create_nothing(self, tmp_path, conflict, message):
+        configure_trace_cache(tmp_path / "earlier")
+        options = {"cache_dir": tmp_path / "cache", "claim_dir": tmp_path / "claims"}
+        with pytest.raises(ValueError, match=message):
+            open_runner(**{**options, **conflict})
+        assert list(tmp_path.iterdir()) == []
+        assert configured_trace_dir() == str(tmp_path / "earlier")
